@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -197,8 +196,8 @@ def _sweep_instance(instance: Instance, parameter: str, value: float, population
     )
 
 
-def _sweep_point(task) -> str:
-    base, parameter, population, value, nu, plan_kind, beta, tol = task
+def _sweep_point(args, base: Instance, value: float, nu: float, plan_kind: str) -> str:
+    parameter, population, beta, tol = args.param, args.population, args.beta, args.tol
     gamma = base.discount
     try:
         instance = _sweep_instance(base, parameter, value, population)
@@ -249,28 +248,18 @@ def _cmd_sweep(args) -> int:
     nus = _floats(args.nu)
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]
 
-    # instance construction happens inside each task so that a bad grid
+    if args.workers is not None:
+        print("warning: --workers is deprecated and ignored; sweeps run sequentially",
+              file=sys.stderr)
+    # instance construction happens inside each point so that a bad grid
     # point (say a discount below what a type's elasticity allows) becomes
     # a converged=False row instead of aborting the sweep
-    tasks = []
-    for value in values:
-        for nu in nus:
-            for plan_kind in plans:
-                tasks.append(
-                    (
-                        instance,
-                        args.param,
-                        args.population,
-                        float(value),
-                        nu,
-                        plan_kind,
-                        args.beta,
-                        args.tol,
-                    )
-                )
-
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        rows = list(pool.map(_sweep_point, tasks))
+    rows = [
+        _sweep_point(args, instance, float(value), nu, plan_kind)
+        for value in values
+        for nu in nus
+        for plan_kind in plans
+    ]
 
     lines = [SWEEP_COLUMNS] + rows
     text = "\n".join(lines) + "\n"
@@ -409,7 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--plans", default="bundled,resource,differentiated")
     swp.add_argument("--population", type=int, default=10, help="total users for mix sweeps")
     swp.add_argument("--tol", type=float, default=1e-6)
-    swp.add_argument("--workers", type=int, default=4)
+    swp.add_argument(
+        "--workers", type=int, default=None, help="deprecated and ignored; sweeps run sequentially"
+    )
     swp.add_argument("--out", default=None, help="CSV output path")
     swp.add_argument("--svg", default=None, help="fairness-revenue chart path")
     swp.set_defaults(func=_cmd_sweep)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "UtilityParams",
@@ -25,6 +27,7 @@ __all__ = [
     "demand_by_bisection",
     "demand_sensitivity",
     "net_utility",
+    "NetUtilityKernel",
     "demand_power_law",
     "demand_point",
 ]
@@ -220,3 +223,47 @@ def demand_point(utility: UtilityParams, per_job_cost: float, discount: float) -
         discount=discount,
         net_utility=net_utility(utility, per_job_cost, discount),
     )
+
+
+class NetUtilityKernel:
+    """Net utility of many user types as one vectorized function of cost.
+
+    Built once per market from the types' utilities and the discount.  At
+    the optimal demand ``x = k * r**e`` the bill is ``r * x**gamma =
+    A * r**q`` with ``A = k**gamma`` and ``q = 1 + gamma * e``, and the
+    surplus is the closed form ``(gamma/(1-alpha) - 1) * A * r**q`` for
+    ``alpha < 1`` or ``c * log(x) - A`` for log utility.  Unlike
+    :func:`net_utility` the kernel neither validates nor clamps: a log-utility
+    type's surplus comes back negative when it would opt out.
+    """
+
+    def __init__(self, utilities: Sequence[UtilityParams], discount: float):
+        pairs = [demand_power_law(u, discount) for u in utilities]
+        self.k = np.array([k for k, _ in pairs])
+        self.e = np.array([e for _, e in pairs])
+        self.A = self.k**discount
+        self.q = 1.0 + discount * self.e
+        alphas = np.array([u.alpha for u in utilities])
+        self.log_types = alphas == 1.0
+        self.any_log = bool(np.any(self.log_types))
+        self.c = np.array([u.c for u in utilities])
+        self.log_k = np.log(self.k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = (discount / (1.0 - alphas) - 1.0) * self.A
+        self.surplus_coef = np.where(self.log_types, 0.0, coef)
+
+    def __call__(self, costs: np.ndarray) -> np.ndarray:
+        """Net utilities at per-job costs of shape ``(n,)`` or ``(n, c)``.
+
+        Row ``j`` holds type ``j``'s costs; the columns of a 2-d array are
+        independent candidates (say, the points of a price grid).
+        """
+        col = (slice(None),) + (None,) * (costs.ndim - 1)  # per-type constants down rows
+        out = self.surplus_coef[col] * costs ** self.q[col]
+        if self.any_log:
+            m = self.log_types
+            out[m] = (
+                self.c[m][col] * (self.log_k[m][col] + self.e[m][col] * np.log(costs[m]))
+                - self.A[m][col]
+            )
+        return out

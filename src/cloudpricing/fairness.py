@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "FairnessSpec",
@@ -31,6 +30,7 @@ __all__ = [
     "beta_lambda_fairness",
     "equitability_efficiency_split",
     "envy_free",
+    "log_sum_exp",
     "pareto_probe",
 ]
 
@@ -73,9 +73,21 @@ def _check_utilities(utilities, weights) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
+def log_sum_exp(a: np.ndarray, weights: np.ndarray, axis=None):
+    """log( sum w * exp(a) ) along ``axis``, shifted by the largest term.
+
+    Subtracting the maximum keeps every exponential at most one, so nothing
+    overflows; ``weights`` must be positive and broadcast against ``a``.
+    """
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    total = np.sum(weights * np.exp(a - shift), axis=axis, keepdims=True)
+    return np.squeeze(np.log(total) + shift, axis=axis)
+
+
 def _log_power_sum(u: np.ndarray, w: np.ndarray, exponent: float) -> float:
     """log( sum_j w_j * u_j**exponent ), stable for large |exponent|."""
-    return float(logsumexp(exponent * np.log(u), b=w))
+    return float(log_sum_exp(exponent * np.log(u), w))
 
 
 def beta_fairness(utilities, beta: float, weights=None) -> float:
@@ -87,7 +99,10 @@ def beta_fairness(utilities, beta: float, weights=None) -> float:
     _check_beta(beta)
     u, w = _check_utilities(utilities, weights)
     if beta >= LOG_DOMAIN_BETA:
-        total = math.exp(_log_power_sum(u, w, 1.0 - beta))
+        try:
+            total = math.exp(_log_power_sum(u, w, 1.0 - beta))
+        except OverflowError:  # beyond the float range, as in the direct branch
+            total = math.inf
     else:
         total = float(np.sum(w * u ** (1.0 - beta)))
     return total / (1.0 - beta)

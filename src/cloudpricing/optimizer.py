@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .fairness import beta_fairness
+from .fairness import beta_fairness, log_sum_exp
 from .pricing import (
     BundledPlan,
     DifferentiatedPlan,
@@ -203,11 +202,9 @@ class _PriceProblem:
         gamma = instance.discount
         self.gamma = gamma
         self.w = instance.counts
-        self.k, self.e = instance.demand_curves()
-        self.A = self.k**gamma
-        self.q = 1.0 + gamma * self.e
-        self.alphas = instance.alphas
-        self.cs = np.array([u.utility.c for u in instance.user_types])
+        self.utilities = instance.utility_kernel()
+        self.k, self.e = self.utilities.k, self.utilities.e
+        self.A, self.q = self.utilities.A, self.utilities.q
         R = instance.requirement_matrix
 
         if plan_kind == "bundled":
@@ -244,19 +241,6 @@ class _PriceProblem:
 
     def demands(self, costs: np.ndarray) -> np.ndarray:
         return self.k * costs**self.e
-
-    def utilities(self, costs: np.ndarray) -> np.ndarray:
-        """Net utilities as functions of cost (log-utility types included)."""
-        out = np.empty_like(costs)
-        for j in range(costs.size if costs.ndim == 1 else costs.shape[0]):
-            alpha = self.alphas[j]
-            r = costs[j]
-            if alpha == 1.0:
-                out[j] = self.cs[j] * (np.log(self.k[j]) + self.e[j] * np.log(r)) - self.A[j]
-            else:
-                nu_u = self.gamma / (1.0 - alpha) - 1.0
-                out[j] = nu_u * self.A[j] * r ** self.q[j]
-        return out
 
     def slacks(self, costs: np.ndarray) -> np.ndarray:
         return self.limits - self.G @ self.demands(costs)
@@ -313,24 +297,21 @@ def _bisect_load(load, target: float) -> float:
     return hi
 
 
-def _feasible_start(problem: _PriceProblem) -> np.ndarray:
+def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     """Strictly feasible prices with the binding usage ratio near one half.
 
     Uniform prices are bisected to the target load for bundled and resource
     plans.  Differentiated prices are set per type so each carries an equal
     slice of its own binding resource: a uniform start can leave a type's
     demand negligible, and its flat objective coordinate then drifts on the
-    barrier instead of optimizing.  When positive net utilities require
-    lower prices than the half-capacity point allows, the target is relaxed
-    toward the boundary.
+    barrier instead of optimizing.  When positive net utilities, or an
+    objective inside the float range (``F_beta`` of tiny utilities at large
+    ``beta`` is not), require lower prices than the half-capacity point
+    allows, the target is relaxed toward the boundary.
     """
 
     def prices_at(scale: float, base: np.ndarray) -> np.ndarray:
         return scale * base
-
-    def utilities_ok(prices: np.ndarray) -> bool:
-        utils = problem.utilities(problem.costs(prices))
-        return bool(np.all(np.isfinite(utils)) and np.all(utils > 0.0))
 
     for target in (0.5, 0.8, 0.95, 0.99):
         if problem.kind == "differentiated":
@@ -359,10 +340,11 @@ def _feasible_start(problem: _PriceProblem) -> np.ndarray:
                 return float(np.max(used / problem.limits))
 
             start = np.full(problem.dim, _bisect_load(load, target))
-        if utilities_ok(start):
+        if math.isfinite(problem.objective_value(spec, problem.costs(start))):
             return start
     raise InfeasibleError(
-        "no strictly feasible price vector keeps every type's net utility positive"
+        "no strictly feasible price vector keeps every type's net utility positive "
+        f"and F_beta (beta={spec.beta:g}) inside the float range"
     )
 
 
@@ -543,10 +525,10 @@ def barrier_optimize(
     """
     config = config or SolverConfig()
     problem = _PriceProblem(instance, plan_kind, bundle)
-    start = _feasible_start(problem)
+    start = _feasible_start(problem, spec)
 
     best = None
-    for prices in _start_candidates(problem, start):
+    for prices in _start_candidates(problem, spec, start):
         result = _barrier_ladder(problem, spec, config, prices)
         if best is None or result.beats(best):
             best = result
@@ -596,22 +578,22 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
     return np.array([axes[d][coords[d][best]] for d in range(problem.dim)])
 
 
-def _start_candidates(problem: _PriceProblem, start: np.ndarray):
+def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, start: np.ndarray):
     """The default start plus alternates used only after a stalled ladder.
 
     Price optimization is certified convex only below the concavity weight
     bound; elsewhere the barrier path can wedge into a poor stationary
     region, and a second start usually frees it.  Alternates that land
     outside the domain (a uniform level can overload capacity that the
-    balanced start respected) are dropped.
+    balanced start respected, or higher prices can push F_beta out of the
+    float range) are dropped.
     """
 
     def usable(prices: np.ndarray) -> bool:
         costs = problem.costs(prices)
         if np.any(costs <= 0.0) or np.any(problem.slacks(costs) <= 0.0):
             return False
-        utils = problem.utilities(costs)
-        return bool(np.all(np.isfinite(utils)) and np.all(utils > 0.0))
+        return math.isfinite(problem.objective_value(spec, costs))
 
     yield start
     uniform = np.full(problem.dim, float(np.exp(np.mean(np.log(start)))))
@@ -652,11 +634,12 @@ def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
     # initial centering solution stays near the start; nearly-flat objectives
     # would otherwise let the barrier drag prices toward the box center, and
     # the way back is thousands of damped steps.
-    obj_slope = float(
-        np.linalg.norm(
-            problem.D.T @ problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
+        obj_slope = float(
+            np.linalg.norm(
+                problem.D.T @ problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
+            )
         )
-    )
     barrier_slope = float(
         np.linalg.norm(_barrier_gradient(problem, spec, 0.0, prices, ceiling))
     )
@@ -784,22 +767,13 @@ def grid_oracle(
             usage = problem.G @ X
             valid &= np.all(usage <= problem.limits[:, None] + FEASIBILITY_ATOL, axis=0)
 
-            utils = np.empty_like(Rsafe)
-            for j in range(problem.instance.n):
-                if problem.alphas[j] == 1.0:
-                    utils[j] = (
-                        problem.cs[j] * (np.log(problem.k[j]) + problem.e[j] * np.log(Rsafe[j]))
-                        - problem.A[j]
-                    )
-                else:
-                    nu_u = problem.gamma / (1.0 - problem.alphas[j]) - 1.0
-                    utils[j] = nu_u * problem.A[j] * Rsafe[j] ** problem.q[j]
+            utils = problem.utilities(Rsafe)
             valid &= np.all(utils > 0.0, axis=0) & np.all(np.isfinite(utils), axis=0)
 
             revenue = np.sum(w * problem.A[:, None] * Rsafe ** problem.q[:, None], axis=0)
             logs = np.where(utils > 0.0, np.log(utils), 0.0)
             if log_domain:
-                fairness = np.exp(logsumexp((1.0 - beta) * logs, b=w, axis=0)) / (1.0 - beta)
+                fairness = np.exp(log_sum_exp((1.0 - beta) * logs, w, axis=0)) / (1.0 - beta)
             else:
                 fairness = np.sum(w * np.exp((1.0 - beta) * logs), axis=0) / (1.0 - beta)
             values = nu * revenue + fairness

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .demand import UtilityParams, demand_power_law, net_utility
+from .demand import NetUtilityKernel, UtilityParams
 
 __all__ = [
     "ResourceModel",
@@ -150,11 +150,9 @@ class Instance:
     def alphas(self) -> np.ndarray:
         return np.array([u.utility.alpha for u in self.user_types])
 
-    def demand_curves(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-type power-law coefficients (k, e) with x*_j(r) = k_j * r**e_j."""
-        pairs = [demand_power_law(u.utility, self.discount) for u in self.user_types]
-        k, e = zip(*pairs)
-        return np.array(k), np.array(e)
+    def utility_kernel(self) -> NetUtilityKernel:
+        """Per-type demand curves ``x*_j(r) = k_j * r**e_j`` and net utilities."""
+        return NetUtilityKernel([u.utility for u in self.user_types], self.discount)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +266,11 @@ def evaluate(instance: Instance, plan: PricingPlan) -> Outcome:
     """
     gamma = instance.discount
     costs = plan.per_job_costs(instance)
-    k, e = instance.demand_curves()
-    demands = k * costs**e
-    utilities = np.array(
-        [net_utility(u.utility, float(r), gamma) for u, r in zip(instance.user_types, costs)]
-    )
+    kernel = instance.utility_kernel()
+    demands = kernel.k * costs**kernel.e
+    # a log-utility type whose interior optimum loses money opts out: its
+    # surplus is reported as 0, as demand.net_utility does
+    utilities = np.maximum(kernel(costs), 0.0)
     counts = instance.counts
     usage = instance.requirement_matrix @ (counts * demands)
     leftover = instance.resources.capacities - usage

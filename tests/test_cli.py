@@ -314,6 +314,63 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert [row[-1] for row in rows] == ["False", "False", "True", "True"]
 
+    def test_low_discount_fairness_overflow_not_fatal(self, instance_file, tmp_path):
+        # at gamma 0.60 and beta 20 the power sum of the start point's
+        # utilities exceeds the float range; the sweep must still write
+        # every row
+        out = tmp_path / "low_gamma.csv"
+        code = main(
+            [
+                "sweep",
+                "--instance",
+                instance_file,
+                "--param",
+                "gamma",
+                "--start",
+                "0.60",
+                "--stop",
+                "0.64",
+                "--steps",
+                "3",
+                "--beta",
+                "20",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 3 * 2 * 3  # steps * nus * plans
+        assert {row[-1] for row in rows} <= {"True", "False"}
+        assert all(len(row) == 12 for row in rows)
+
+    def test_workers_flag_is_deprecated_noop(self, instance_file, tmp_path, capsys):
+        args = [
+            "sweep",
+            "--instance",
+            instance_file,
+            "--param",
+            "capacity:mem",
+            "--start",
+            "2",
+            "--stop",
+            "6",
+            "--steps",
+            "2",
+            "--nu",
+            "0,1",
+            "--beta",
+            "20",
+        ]
+        outputs = []
+        for extra in (["--workers", "1"], ["--workers", "4"], []):
+            out = tmp_path / f"sweep{len(outputs)}.csv"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            warning = capsys.readouterr().err
+            assert warning.count("deprecated") == (1 if extra else 0)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_unknown_parameter_exit_one(self, instance_file):
         code = main(
             [

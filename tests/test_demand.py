@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudpricing.demand import (
+    NetUtilityKernel,
     UtilityParams,
     demand_by_bisection,
     demand_point,
@@ -146,6 +148,50 @@ class TestNetUtility:
     def test_zero_jobs_zero_utility(self):
         assert UtilityParams(0.5, 1.0).value(0.0) == 0.0
         assert UtilityParams(1.0, 1.0).value(0.0) == 0.0
+
+
+@st.composite
+def mixed_markets(draw):
+    """Utilities of 1 to 6 types, some with log utility, and a valid discount."""
+    alphas = draw(
+        st.lists(st.one_of(st.just(1.0), st.floats(0.05, 0.95)), min_size=1, max_size=6)
+    )
+    utilities = [UtilityParams(a, draw(st.floats(0.1, 10.0))) for a in alphas]
+    # a discount at least 0.05 above 1 - alpha keeps the surplus of every
+    # alpha < 1 type at least 1/20 of its utility, so the direct route
+    # U(x) - r * x**gamma loses at most a factor 20 to cancellation
+    gamma = draw(st.floats(min(1.0, 1.05 - min(alphas)), 1.0))
+    return utilities, gamma
+
+
+class TestNetUtilityKernel:
+    @given(market=mixed_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_type_net_utility(self, market, data):
+        utilities, gamma = market
+        n = len(utilities)
+        columns = data.draw(st.integers(0, 4))  # 0 draws the 1-d shape
+        shape = (n,) if columns == 0 else (n, columns)
+        costs = np.array(
+            data.draw(st.lists(st.floats(0.01, 100.0), min_size=n * max(columns, 1),
+                               max_size=n * max(columns, 1)))
+        ).reshape(shape)
+        values = NetUtilityKernel(utilities, gamma)(costs)
+        assert values.shape == shape
+        for index in np.ndindex(shape):
+            u, r = utilities[index[0]], float(costs[index])
+            direct = net_utility(u, r, gamma)
+            x = optimal_demand(u, r, gamma)
+            if u.alpha == 1.0:
+                # c * log(x) - r * x**gamma: judge against the terms, since
+                # their difference can cancel to nothing
+                scale = abs(u.value(x)) + r * x**gamma
+                if direct == 0.0:  # opted out: the kernel reports the loss
+                    assert values[index] <= 1e-12 * scale
+                    continue
+            else:
+                scale = direct
+            assert abs(values[index] - direct) <= 1e-12 * scale
 
 
 class TestInvariants:

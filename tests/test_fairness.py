@@ -11,6 +11,7 @@ from cloudpricing.fairness import (
     beta_lambda_fairness,
     envy_free,
     equitability_efficiency_split,
+    log_sum_exp,
     pareto_probe,
 )
 
@@ -144,6 +145,34 @@ class TestLogDomain:
                 / (1.0 - beta)
             )
             assert ours == pytest.approx(reference, rel=1e-6)
+
+    @given(
+        beta=st.floats(10.0, 200.0),
+        logs=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=2, max_size=12),
+        weights=st.lists(st.integers(1, 1000), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_log_sum_exp_matches_extended_precision(self, beta, logs, weights):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        # the values fill a (n, 2) grid: each column is one utility vector
+        u = np.exp(np.array(logs[: len(logs) // 2 * 2])).reshape(-1, 2)
+        w = np.array(weights[: u.shape[0]], dtype=float)
+        columns = log_sum_exp((1.0 - beta) * np.log(u), w[:, None], axis=0)
+        for col in range(2):
+            exact = mpmath.fsum(
+                mpmath.mpf(float(wj)) * mpmath.mpf(float(uj)) ** (1.0 - beta)
+                for wj, uj in zip(w, u[:, col])
+            )
+            reference = float(mpmath.log(exact))
+            ours = float(log_sum_exp((1.0 - beta) * np.log(u[:, col]), w))
+            assert abs(ours - reference) <= 1e-12 * max(1.0, abs(reference))
+            assert columns[col] == pytest.approx(ours, rel=1e-15, abs=1e-15)
+            fairness = beta_fairness(u[:, col], beta, weights=w)
+            if exact / (1.0 - beta) < -np.finfo(float).max:
+                assert fairness == -math.inf  # past the float range, not an error
+            else:
+                assert fairness == pytest.approx(float(exact / (1.0 - beta)), rel=1e-9)
 
 
 class TestEnvyFree:
