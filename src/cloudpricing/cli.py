@@ -33,6 +33,7 @@ from .pricing import (
     load_instance,
     save_instance,
 )
+from .simplex import IterationBudgetError
 from .trace import (
     aggregate_and_filter,
     build_instance,
@@ -443,6 +444,9 @@ def main(argv=None) -> int:
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except IterationBudgetError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,12 +13,23 @@ per-interval price optimizations plus a scheduling feasibility check,
 solved here as a phase-one linear program.  When the stage-wise optimal
 demands cannot be scheduled, prices are scaled up uniformly by the smallest
 factor restoring feasibility.
+
+Work is shared where the numbers repeat.  Intervals whose stage-one markets
+agree in every number that drives the price solve (capacities after window
+relaxation, requirements, counts, utility parameters, discount and revenue
+weight; labels do not count) share one ``barrier_optimize`` call, and each
+bisection probe evaluates such a group's demand once.  The schedule LP's
+matrices are assembled once per horizon from numpy index arrays and kept on
+the :class:`IntervalDemandSpec`; each probe changes only the cohort
+right-hand sides.  A cohort counts as delivered when its shortfall is at
+most ``1e-9 * max(1, demand)`` (:data:`cloudpricing.simplex.FEASIBILITY_RTOL`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +43,7 @@ from .optimizer import (
     concavity_weight_bound,
 )
 from .pricing import Instance, ResourceModel, ResourcePlan, evaluate
-from .simplex import phase_one
+from .simplex import FEASIBILITY_RTOL, phase_one
 
 __all__ = [
     "IntervalMarket",
@@ -97,6 +108,10 @@ class IntervalDemandSpec:
                         f"interval {s}, type '{label}': deadline {tau} outside "
                         f"[{s}, {self.horizon}]"
                     )
+
+    @cached_property
+    def _schedule_lp(self) -> _ScheduleLP:
+        return _ScheduleLP(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +228,64 @@ def _demand_windows(spec: IntervalDemandSpec):
             yield j, s, tau, interval
 
 
+class _ScheduleLP:
+    """The schedule feasibility LP of one horizon, assembled once.
+
+    Columns are the schedule variables in ``_schedule_variables`` order; the
+    >= rows are the cohorts in (submitted, type) order and the <= rows the
+    (interval, resource) capacities.  Only the cohort right-hand sides
+    depend on the demands.
+    """
+
+    def __init__(self, spec: IntervalDemandSpec) -> None:
+        self.variables = _schedule_variables(spec)
+        windows = tuple(_demand_windows(spec))
+        self.cohorts = tuple((j, s, tau) for j, s, tau, _ in windows)
+        self.labels = tuple(interval.instance.user_types[j].label for j, _, _, interval in windows)
+        self.m = m = spec.intervals[0].instance.m
+        self.names = spec.intervals[0].instance.resources.names
+        columns = np.arange(len(self.variables))
+        cohort_of = np.repeat(np.arange(len(windows)), [tau - s + 1 for _, s, tau, _ in windows])
+        processed = np.array([t for _, _, t in self.variables])
+        # per-job requirements of each cohort, (cohort, resource)
+        requirements = np.vstack(
+            [interval.instance.requirement_matrix.T for interval in spec.intervals]
+        )
+        self.A_ge = np.zeros((len(windows), columns.size))
+        self.A_ge[cohort_of, columns] = 1.0
+        self.A_le = np.zeros((spec.horizon * m, columns.size))
+        capacity_rows = (processed - 1)[:, None] * m + np.arange(m)
+        self.A_le[capacity_rows, columns[:, None]] = requirements[cohort_of]
+        self.b_le = np.concatenate(
+            [interval.instance.resources.capacities for interval in spec.intervals]
+        )
+
+    def solve(self, demands) -> tuple[bool, Schedule | InfeasibilityCertificate]:
+        b_ge = np.concatenate(demands)
+        result = phase_one(self.A_ge, b_ge, self.A_le, self.b_le)
+        if result.feasible:
+            positive = np.flatnonzero(result.x > 0.0)
+            amounts = {self.variables[k]: float(result.x[k]) for k in positive}
+            return True, Schedule(amounts=amounts)
+
+        headroom = self.b_le - self.A_le @ result.x  # per (t, i) row
+        saturated = headroom <= 1e-9 * np.maximum(1.0, self.b_le)
+        unmet = result.ge_violations > FEASIBILITY_RTOL * np.maximum(1.0, b_ge)
+        violations = []
+        for k in np.flatnonzero(unmet):
+            _, s, tau = self.cohorts[k]
+            violations.append(
+                f"type '{self.labels[k]}' submitted in interval {s} misses deadline {tau} "
+                f"by {result.ge_violations[k]:.6g} jobs"
+            )
+            for row in np.flatnonzero(saturated[(s - 1) * self.m : tau * self.m]):
+                t, i = divmod(int(row), self.m)
+                violations.append(
+                    f"interval {s + t}: resource '{self.names[i]}' capacity saturated"
+                )
+        return False, InfeasibilityCertificate(violations=tuple(dict.fromkeys(violations)))
+
+
 def schedule_feasible(
     demands, spec: IntervalDemandSpec
 ) -> tuple[bool, Schedule | InfeasibilityCertificate]:
@@ -221,9 +294,10 @@ def schedule_feasible(
     ``demands[s-1][j]`` is the total demanded mass (jobs times population)
     of type ``j`` submitted in interval ``s``.  Returns a witness schedule
     when feasible; otherwise a certificate naming the unmet cohorts and the
-    saturated interval capacities inside their windows.
+    saturated interval capacities inside their windows.  The LP's matrices
+    are built on the first call for ``spec`` and reused after.
     """
-    demands = [np.asarray(row, dtype=float) for row in demands]
+    demands = [np.asarray(row, dtype=float).reshape(-1) for row in demands]
     if len(demands) != spec.horizon:
         raise ValueError(f"expected {spec.horizon} demand rows, got {len(demands)}")
     for s, interval in enumerate(spec.intervals, start=1):
@@ -231,57 +305,7 @@ def schedule_feasible(
             raise ValueError(f"interval {s}: expected {interval.instance.n} demands")
         if np.any(demands[s - 1] < 0.0):
             raise ValueError(f"interval {s}: demands must be nonnegative")
-
-    variables = _schedule_variables(spec)
-    index = {v: i for i, v in enumerate(variables)}
-    n_vars = len(variables)
-    m = spec.intervals[0].instance.m
-
-    ge_rows, ge_rhs, cohorts = [], [], []
-    for j, s, tau, _interval in _demand_windows(spec):
-        demand = float(demands[s - 1][j])
-        row = np.zeros(n_vars)
-        for t in range(s, tau + 1):
-            row[index[(j, s, t)]] = 1.0
-        ge_rows.append(row)
-        ge_rhs.append(demand)
-        cohorts.append((j, s, tau))
-
-    le_rows, le_rhs, capacity_labels = [], [], []
-    for t in range(1, spec.horizon + 1):
-        caps = spec.intervals[t - 1].instance.resources.capacities
-        names = spec.intervals[t - 1].instance.resources.names
-        for i in range(m):
-            row = np.zeros(n_vars)
-            for (j, s, when), col in index.items():
-                if when == t:
-                    row[col] = spec.intervals[s - 1].instance.user_types[j].requirements[i]
-            le_rows.append(row)
-            le_rhs.append(float(caps[i]))
-            capacity_labels.append((t, names[i]))
-
-    result = phase_one(np.array(ge_rows), np.array(ge_rhs), np.array(le_rows), np.array(le_rhs))
-    if result.feasible:
-        amounts = {v: float(result.x[i]) for v, i in index.items() if result.x[i] > 0.0}
-        return True, Schedule(amounts=amounts)
-
-    headroom = np.asarray(le_rhs) - np.asarray(le_rows) @ result.x  # per (t, i) row
-    violations = []
-    for (j, s, tau), shortfall in zip(cohorts, result.ge_violations):
-        if shortfall <= 1e-9:
-            continue
-        label = spec.intervals[s - 1].instance.user_types[j].label
-        violations.append(
-            f"type '{label}' submitted in interval {s} misses deadline {tau} "
-            f"by {shortfall:.6g} jobs"
-        )
-        for t in range(s, tau + 1):
-            for i in range(m):
-                row = (t - 1) * m + i
-                if headroom[row] <= 1e-9 * max(1.0, le_rhs[row]):
-                    name = capacity_labels[row][1]
-                    violations.append(f"interval {t}: resource '{name}' capacity saturated")
-    return False, InfeasibilityCertificate(violations=tuple(dict.fromkeys(violations)))
+    return spec._schedule_lp.solve(demands)
 
 
 def _window_relaxed(interval: IntervalMarket, s: int) -> Instance:
@@ -307,13 +331,31 @@ def _window_relaxed(interval: IntervalMarket, s: int) -> Instance:
     )
 
 
-def _stage_demands(spec: IntervalDemandSpec, plans, scale: float):
-    """Total demanded masses per cohort at uniformly scaled prices."""
+def _stage_one_key(market: Instance, nu: float) -> tuple:
+    """The numbers that drive a stage-one price solve; labels do not count."""
+    return (
+        market.resources.capacities.tobytes(),
+        market.requirement_matrix.tobytes(),
+        market.counts.tobytes(),
+        tuple((user.utility.alpha, user.utility.c) for user in market.user_types),
+        market.discount,
+        nu,
+    )
+
+
+def _stage_demands(spec: IntervalDemandSpec, plans, keys, scale: float):
+    """Total demanded masses per cohort at uniformly scaled prices.
+
+    Intervals with equal stage-one keys share one plan and one demand curve,
+    so each key is evaluated once.
+    """
+    masses: dict[tuple, np.ndarray] = {}
     rows = []
-    for interval, plan in zip(spec.intervals, plans):
-        scaled = ResourcePlan(prices=plan.prices * scale)
-        outcome = evaluate(interval.instance, scaled)
-        rows.append(interval.instance.counts * outcome.demands)
+    for key, interval, plan in zip(keys, spec.intervals, plans):
+        if key not in masses:
+            outcome = evaluate(interval.instance, ResourcePlan(prices=plan.prices * scale))
+            masses[key] = interval.instance.counts * outcome.demands
+        rows.append(masses[key])
     return rows
 
 
@@ -321,27 +363,28 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
     """Optimize per-interval prices, then certify or repair schedulability.
 
     Stage one solves each interval's price problem independently (revenue
-    and fairness depend only on prices).  Stage two checks the resulting
-    demands against the deadline/capacity system; if unschedulable, all
-    prices are scaled up by the smallest uniform factor (bisection to 1e-6
-    relative) that restores feasibility, re-verifying after each probe.
+    and fairness depend only on prices), once per distinct stage-one market.
+    Stage two checks the resulting demands against the deadline/capacity
+    system; if unschedulable, all prices are scaled up by the smallest
+    uniform factor (bisection to 1e-6 relative) that restores feasibility,
+    re-verifying after each probe.
     """
     spec = program.spec
-    interval_results = []
-    for s, (interval, obj_spec) in enumerate(
-        zip(spec.intervals, program.interval_objectives()), start=1
-    ):
-        interval_results.append(
-            barrier_optimize(_window_relaxed(interval, s), "resource", obj_spec, config)
-        )
+    markets = [_window_relaxed(interval, s) for s, interval in enumerate(spec.intervals, start=1)]
+    keys = [_stage_one_key(mk, interval.nu) for mk, interval in zip(markets, spec.intervals)]
+    solved: dict[tuple, SolveResult] = {}
+    for key, market, obj_spec in zip(keys, markets, program.interval_objectives()):
+        if key not in solved:
+            solved[key] = barrier_optimize(market, "resource", obj_spec, config)
+    interval_results = tuple(solved[key] for key in keys)
     plans = tuple(result.plan for result in interval_results)
 
-    feasible, witness = schedule_feasible(_stage_demands(spec, plans, 1.0), spec)
+    feasible, witness = schedule_feasible(_stage_demands(spec, plans, keys, 1.0), spec)
     scale = 1.0
     if not feasible:
         lo, hi = 1.0, 2.0
         for _ in range(60):
-            ok, candidate = schedule_feasible(_stage_demands(spec, plans, hi), spec)
+            ok, candidate = schedule_feasible(_stage_demands(spec, plans, keys, hi), spec)
             if ok:
                 witness = candidate
                 break
@@ -351,7 +394,7 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
             raise InfeasibleError(f"no finite price scaling yields a schedule: {witness}")
         while hi - lo > 1e-6 * hi:
             mid = 0.5 * (lo + hi)
-            ok, candidate = schedule_feasible(_stage_demands(spec, plans, mid), spec)
+            ok, candidate = schedule_feasible(_stage_demands(spec, plans, keys, mid), spec)
             if ok:
                 hi, witness = mid, candidate
             else:
@@ -369,7 +412,7 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
     )
     return HorizonResult(
         plans=plans,
-        interval_results=tuple(interval_results),
+        interval_results=interval_results,
         schedule=witness,
         total_revenue=total_revenue,
         total_fairness=total_fairness,

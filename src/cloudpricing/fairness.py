@@ -20,6 +20,7 @@ users priced out of the market rather than pass zeros.  Large ``beta``
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
 
 #: betas at or above this are evaluated via log-sum-exp.
 LOG_DOMAIN_BETA = 10.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,13 @@ def beta_fairness(utilities, beta: float, weights=None) -> float:
     _check_beta(beta)
     u, w = _check_utilities(utilities, weights)
     if beta >= LOG_DOMAIN_BETA:
-        try:
-            total = math.exp(_log_power_sum(u, w, 1.0 - beta))
-        except OverflowError:  # beyond the float range, as in the direct branch
-            total = math.inf
+        log_total = _log_power_sum(u, w, 1.0 - beta)
+        if log_total > _LOG_FLOAT_MAX:
+            # the sum is past the float range, but its quotient may not be;
+            # -inf beyond it, as in the direct branch
+            log_quotient = log_total - math.log(beta - 1.0)
+            return -math.exp(log_quotient) if log_quotient <= _LOG_FLOAT_MAX else -math.inf
+        total = math.exp(log_total)
     else:
         total = float(np.sum(w * u ** (1.0 - beta)))
     return total / (1.0 - beta)

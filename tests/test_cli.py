@@ -478,7 +478,9 @@ class TestVerify:
 
 
 class TestSchedule:
-    def test_end_to_end(self, tmp_path, capsys):
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        """Two unit-capacity intervals whose first cohort must spill forward."""
         from cloudpricing import Instance, ResourceModel, UserType, UtilityParams
 
         market = Instance(
@@ -493,8 +495,11 @@ class TestSchedule:
                 {"instance": instance_to_json(market), "deadlines": [2], "nu": 0.0},
             ],
         }
-        spec_path = tmp_path / "horizon.json"
-        spec_path.write_text(json.dumps(payload))
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_end_to_end(self, tmp_path, spec_path):
         out = tmp_path / "schedule.json"
         code = main(["schedule", "--spec", str(spec_path), "--beta", "2", "--out", str(out)])
         assert code == 0
@@ -504,6 +509,15 @@ class TestSchedule:
             entry for entry in result["schedule"] if entry["processed"] > entry["submitted"]
         ]
         assert deferred and deferred[0]["amount"] > 0.0
+
+    def test_pivot_budget_exhausted_exit_two(self, spec_path, capsys, monkeypatch):
+        import cloudpricing.simplex
+
+        monkeypatch.setattr(cloudpricing.simplex, "PIVOTS_PER_LINE", 0)
+        assert main(["schedule", "--spec", str(spec_path), "--beta", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase-one simplex used its budget of 0 pivots")
+        assert "Traceback" not in err
 
     def test_bad_spec_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"

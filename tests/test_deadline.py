@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cloudpricing.deadline as deadline
 from cloudpricing import (
     Instance,
     ObjectiveSpec,
@@ -18,7 +19,8 @@ from cloudpricing.deadline import (
     solve_horizon,
 )
 from cloudpricing.fairness import beta_fairness
-from cloudpricing.pricing import instance_to_json
+from cloudpricing.pricing import evaluate, instance_to_json
+from cloudpricing.synth import google_cluster_instance
 
 
 def single_type_market(capacity: float, c: float = 1.0) -> Instance:
@@ -231,4 +233,161 @@ class TestHorizonJson:
                         {"instance": instance_to_json(market), "deadlines": [1.5]}
                     ],
                 }
+            )
+
+
+def slack_horizon(T: int, slack: int, market: Instance | None = None) -> IntervalDemandSpec:
+    """``T`` copies of a market whose jobs may run until ``slack`` intervals later."""
+    market = market or google_cluster_instance()
+    return IntervalDemandSpec(
+        horizon=T,
+        intervals=tuple(
+            IntervalMarket(market, deadlines=(min(T, s + slack),) * market.n, nu=0.0)
+            for s in range(1, T + 1)
+        ),
+    )
+
+
+def highs_schedulable(spec: IntervalDemandSpec, masses) -> bool:
+    """Independent oracle: does HiGHS find a schedule delivering ``masses``?"""
+    from scipy.optimize import linprog
+
+    columns = [
+        (j, s, t)
+        for s, interval in enumerate(spec.intervals, start=1)
+        for j, tau in enumerate(interval.deadlines)
+        for t in range(s, tau + 1)
+    ]
+    cohorts = [(j, s) for s, row in enumerate(masses, start=1) for j in range(len(row))]
+    m = spec.intervals[0].instance.m
+    A_eq = np.zeros((len(cohorts), len(columns)))
+    A_ub = np.zeros((spec.horizon * m, len(columns)))
+    for col, (j, s, t) in enumerate(columns):
+        A_eq[cohorts.index((j, s)), col] = 1.0
+        A_ub[(t - 1) * m : t * m, col] = spec.intervals[s - 1].instance.user_types[j].requirements
+    b_eq = [masses[s - 1][j] for j, s in cohorts]
+    b_ub = np.concatenate([interval.instance.resources.capacities for interval in spec.intervals])
+    result = linprog(
+        np.zeros(len(columns)), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs"
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+class TestDeliveryTolerance:
+    """Every cohort gets its demand at the posted prices, small cohorts too."""
+
+    @pytest.mark.parametrize("T, slack", [(16, 3), (4, 1)])
+    def test_reference_market_cohorts_fully_delivered(self, T, slack):
+        spec = slack_horizon(T, slack)
+        result = solve_horizon(build_program(spec, beta=2.0))
+        assert result.price_scale > 1.0
+        masses = [
+            interval.instance.counts * evaluate(interval.instance, plan).demands
+            for interval, plan in zip(spec.intervals, result.plans)
+        ]
+        for s, row in enumerate(masses, start=1):
+            for j, mass in enumerate(row):
+                delivered = result.schedule.delivered(j, s)
+                assert delivered >= mass * (1.0 - 1e-6), (s, j, delivered, mass)
+        assert highs_schedulable(spec, masses)
+
+
+def relabeled(market: Instance, suffix: str) -> Instance:
+    """The same numbers under other type labels."""
+    return Instance(
+        resources=market.resources,
+        user_types=tuple(
+            UserType(u.label + suffix, u.count, u.requirements, u.utility)
+            for u in market.user_types
+        ),
+        discount=market.discount,
+    )
+
+
+def market_numbers(market: Instance) -> tuple:
+    return (
+        tuple(market.resources.capacities),
+        tuple(map(tuple, market.requirement_matrix)),
+        tuple(market.counts),
+        tuple((u.utility.alpha, u.utility.c) for u in market.user_types),
+        market.discount,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:interval .*concavity:UserWarning")
+class TestStageOneSharing:
+    """Intervals with the same stage-one numbers share one price solve."""
+
+    def spec(self) -> IntervalDemandSpec:
+        base = google_cluster_instance()
+        markets = [
+            base,
+            relabeled(base, "-b"),
+            base,
+            relabeled(base, "-c"),
+            google_cluster_instance(memory_capacity=7.0),
+            base,
+        ]
+        nus = [0.0, 0.0, 0.5, 0.0, 0.0, 0.0]
+        T = len(markets)
+        return IntervalDemandSpec(
+            horizon=T,
+            intervals=tuple(
+                IntervalMarket(market, deadlines=(min(T, s + 1),) * market.n, nu=nu)
+                for s, (market, nu) in enumerate(zip(markets, nus), start=1)
+            ),
+        )
+
+    def solve_counting(self, spec, monkeypatch):
+        calls = []
+        original = deadline.barrier_optimize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deadline, "barrier_optimize", counting)
+        result = solve_horizon(build_program(spec, beta=2.0))
+        monkeypatch.setattr(deadline, "barrier_optimize", original)
+        return result, len(calls)
+
+    def test_one_solve_per_distinct_market(self, monkeypatch):
+        spec = self.spec()
+        distinct = {
+            (market_numbers(interval.instance), min(interval.deadlines) - s + 1, interval.nu)
+            for s, interval in enumerate(spec.intervals, start=1)
+        }
+        assert len(distinct) == 4  # labels alone do not make a market distinct
+        result, calls = self.solve_counting(spec, monkeypatch)
+        assert calls == len(distinct)
+        assert result.interval_results[0] is result.interval_results[1]
+        assert result.interval_results[0] is result.interval_results[3]
+
+    def test_shared_solves_match_separate_solves(self, monkeypatch):
+        spec = self.spec()
+        shared, _ = self.solve_counting(spec, monkeypatch)
+        # a fresh key per interval turns the sharing off
+        monkeypatch.setattr(deadline, "_stage_one_key", lambda market, nu: object())
+        separate, calls = self.solve_counting(spec, monkeypatch)
+        assert calls == spec.horizon
+        assert shared.price_scale > 1.0
+        assert shared.price_scale == separate.price_scale
+        assert shared.total_revenue == separate.total_revenue
+        assert shared.total_fairness == separate.total_fairness
+        assert shared.feasible == separate.feasible
+        assert shared.schedule.amounts == separate.schedule.amounts
+        for a, b in zip(shared.plans, separate.plans):
+            np.testing.assert_array_equal(a.prices, b.prices)
+        for a, b in zip(shared.interval_results, separate.interval_results):
+            np.testing.assert_array_equal(a.plan.prices, b.plan.prices)
+            np.testing.assert_array_equal(a.outcome.demands, b.outcome.demands)
+            np.testing.assert_array_equal(a.outcome.net_utilities, b.outcome.net_utilities)
+            np.testing.assert_array_equal(a.outcome.leftover, b.outcome.leftover)
+            assert (a.objective_value, a.iterations, a.converged, a.gap, a.message) == (
+                b.objective_value,
+                b.iterations,
+                b.converged,
+                b.gap,
+                b.message,
             )

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from cloudpricing.simplex import phase_one
@@ -62,3 +65,33 @@ class TestPhaseOne:
             if ours.feasible:
                 assert np.all(A_ge @ ours.x >= b_ge - 1e-8)
                 assert np.all(A_le @ ours.x <= b_le + 1e-8)
+
+
+@st.composite
+def feasibility_systems(draw):
+    """Systems of up to 40 variables with zero right-hand sides and duplicated
+    rows.  Half-integer data make every vertex a rational whose denominator
+    is a small determinant, so an infeasible system misses by far more than
+    either solver's tolerance."""
+    n = draw(st.integers(1, 40))
+    coefficients = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    rhs = st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0, 7.0])
+    system = []
+    for rows in (draw(st.integers(1, 6)), draw(st.integers(1, 6))):
+        A = draw(hnp.arrays(float, (rows, n), elements=coefficients))
+        b = draw(hnp.arrays(float, rows, elements=rhs))
+        duplicates = draw(st.lists(st.integers(0, rows - 1), max_size=2))
+        system += [np.vstack([A, A[duplicates]]), np.concatenate([b, b[duplicates]])]
+    return tuple(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasibility_systems())
+def test_verdict_and_witness_match_highs(system):
+    A_ge, b_ge, A_le, b_le = system
+    ours = phase_one(A_ge, b_ge, A_le, b_le)
+    assert ours.feasible == scipy_feasible(A_ge, b_ge, A_le, b_le)
+    if ours.feasible:
+        assert np.all(ours.x >= -1e-8)
+        assert np.all(A_ge @ ours.x >= b_ge - 1e-8)
+        assert np.all(A_le @ ours.x <= b_le + 1e-8)
