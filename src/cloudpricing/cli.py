@@ -122,86 +122,75 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _mix_counts(instance: Instance, label: str, fraction: float, population: int):
+def _mix_counts(n: int, target: int, fraction: float, population: int) -> list[int]:
     """Integer populations for a mix sweep.
 
-    The swept type receives ``fraction`` of the population.  With three or
+    Type ``target`` receives ``fraction`` of the population.  With three or
     more types the last type's share stays fixed at 10%; the remaining types
     split what is left evenly.  Every type keeps at least one user.
     """
-    labels = [u.label for u in instance.user_types]
-    if label not in labels:
-        raise ValueError(f"mix sweep: no user type labeled {label!r}")
-    target = labels.index(label)
-    n = len(labels)
-    if n >= 3 and target == n - 1:
-        raise ValueError("mix sweep: the last type's share is fixed; sweep another type")
-    shares = np.zeros(n)
-    shares[target] = fraction
-    rest = 1.0 - fraction
-    if n >= 3:
-        shares[-1] = 0.1
-        rest -= 0.1
-        others = [i for i in range(n - 1) if i != target]
-    else:
-        others = [i for i in range(n) if i != target]
+    fixed = n >= 3  # the last type's share stays at 10%
+    rest = 1.0 - fraction - 0.1 * fixed
     if rest < -1e-9:
         raise ValueError(f"mix sweep: fraction {fraction} leaves no room for other types")
-    for i in others:
-        shares[i] = max(rest, 0.0) / max(len(others), 1)
+    others = [i for i in range(n - fixed) if i != target]
+    shares = np.zeros(n)
+    shares[others] = max(rest, 0.0) / max(len(others), 1)
+    shares[target] = fraction
+    if fixed:
+        shares[-1] = 0.1
     return [max(1, round(share * population)) for share in shares]
 
 
-def _validate_sweep_target(instance: Instance, parameter: str) -> None:
-    """Reject malformed sweep parameters up front (an input error, exit 1)."""
-    if parameter.startswith("capacity:"):
-        name = parameter.split(":", 1)[1]
-        if name not in instance.resources.names:
+def _sweep_target(instance: Instance, parameter: str, population: int):
+    """Parse and check ``--param`` once; returns the market at a grid value.
+
+    A malformed parameter is an input error (exit 1).  Errors raised by the
+    returned function concern one grid value only, and the sweep turns them
+    into ``converged=False`` rows.
+    """
+    kind, colon, name = parameter.partition(":")
+    if colon and kind == "capacity":
+        names = instance.resources.names
+        if name not in names:
             raise ValueError(f"capacity sweep: no resource named {name!r}")
-    elif parameter.startswith("mix:"):
-        label = parameter.split(":", 1)[1]
+        index = names.index(name)
+
+        def at_capacity(value: float) -> Instance:
+            caps = instance.resources.capacities.copy()
+            caps[index] = value
+            return replace(instance, resources=ResourceModel(names=names, capacities=caps))
+
+        return at_capacity
+    if colon and kind == "mix":
         labels = [u.label for u in instance.user_types]
-        if label not in labels:
-            raise ValueError(f"mix sweep: no user type labeled {label!r}")
-        if len(labels) >= 3 and labels.index(label) == len(labels) - 1:
+        if name not in labels:
+            raise ValueError(f"mix sweep: no user type labeled {name!r}")
+        target = labels.index(name)
+        if len(labels) >= 3 and target == len(labels) - 1:
             raise ValueError("mix sweep: the last type's share is fixed; sweep another type")
-    elif parameter != "gamma":
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; use capacity:<resource>, "
-            "mix:<type>, or gamma"
-        )
 
+        def at_mix(value: float) -> Instance:
+            counts = _mix_counts(len(labels), target, value, population)
+            user_types = tuple(
+                UserType(u.label, c, u.requirements, u.utility)
+                for u, c in zip(instance.user_types, counts)
+            )
+            return replace(instance, user_types=user_types)
 
-def _sweep_instance(instance: Instance, parameter: str, value: float, population: int):
-    if parameter.startswith("capacity:"):
-        name = parameter.split(":", 1)[1]
-        if name not in instance.resources.names:
-            raise ValueError(f"capacity sweep: no resource named {name!r}")
-        caps = instance.resources.capacities.copy()
-        caps[instance.resources.names.index(name)] = value
-        return replace(
-            instance, resources=ResourceModel(names=instance.resources.names, capacities=caps)
-        )
-    if parameter.startswith("mix:"):
-        label = parameter.split(":", 1)[1]
-        counts = _mix_counts(instance, label, value, population)
-        user_types = tuple(
-            UserType(u.label, c, u.requirements, u.utility)
-            for u, c in zip(instance.user_types, counts)
-        )
-        return replace(instance, user_types=user_types)
+        return at_mix
     if parameter == "gamma":
-        return replace(instance, discount=value)
+        return lambda value: replace(instance, discount=value)
     raise ValueError(
         f"unknown sweep parameter {parameter!r}; use capacity:<resource>, mix:<type>, or gamma"
     )
 
 
-def _sweep_point(args, base: Instance, value: float, nu: float, plan_kind: str) -> str:
-    parameter, population, beta, tol = args.param, args.population, args.beta, args.tol
+def _sweep_point(args, base: Instance, market_at, value: float, nu: float, plan_kind: str) -> str:
+    beta, tol = args.beta, args.tol
     gamma = base.discount
     try:
-        instance = _sweep_instance(base, parameter, value, population)
+        instance = market_at(value)
         gamma = instance.discount
         spec = ObjectiveSpec(nu=nu, beta=beta)
         result = barrier_optimize(instance, plan_kind, spec, SolverConfig(tolerance=tol))
@@ -244,7 +233,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("steps must be at least 2")
     if args.stop <= args.start:
         raise ValueError("start must be below stop")
-    _validate_sweep_target(instance, args.param)
+    market_at = _sweep_target(instance, args.param, args.population)
     values = np.linspace(args.start, args.stop, args.steps)
     nus = _floats(args.nu)
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]
@@ -256,7 +245,7 @@ def _cmd_sweep(args) -> int:
     # point (say a discount below what a type's elasticity allows) becomes
     # a converged=False row instead of aborting the sweep
     rows = [
-        _sweep_point(args, instance, float(value), nu, plan_kind)
+        _sweep_point(args, instance, market_at, float(value), nu, plan_kind)
         for value in values
         for nu in nus
         for plan_kind in plans

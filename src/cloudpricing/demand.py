@@ -226,15 +226,22 @@ def demand_point(utility: UtilityParams, per_job_cost: float, discount: float) -
 
 
 class NetUtilityKernel:
-    """Net utility of many user types as one vectorized function of cost.
+    """Every per-type power law of a market as a vectorized function of cost.
 
     Built once per market from the types' utilities and the discount.  At
     the optimal demand ``x = k * r**e`` the bill is ``r * x**gamma =
     A * r**q`` with ``A = k**gamma`` and ``q = 1 + gamma * e``, and the
     surplus is the closed form ``(gamma/(1-alpha) - 1) * A * r**q`` for
-    ``alpha < 1`` or ``c * log(x) - A`` for log utility.  Unlike
-    :func:`net_utility` the kernel neither validates nor clamps: a log-utility
-    type's surplus comes back negative when it would opt out.
+    ``alpha < 1`` or ``c * log(x) - A`` for log utility.  By the envelope
+    theorem the surplus falls at ``-x**gamma = -A * r**(q-1)`` for every type.
+
+    Calling the kernel gives net utilities; :meth:`demand` and :meth:`bill`
+    give the other two power laws, and :meth:`derivatives` the first and
+    second r-derivatives of all three.  Costs have shape ``(n,)`` or, for the
+    value methods, ``(n, c)``: row ``j`` holds type ``j``'s costs and the
+    columns are independent candidates (say, the points of a price grid).
+    Unlike :func:`net_utility` the kernel neither validates nor clamps: a
+    log-utility type's surplus comes back negative when it would opt out.
     """
 
     def __init__(self, utilities: Sequence[UtilityParams], discount: float):
@@ -251,19 +258,34 @@ class NetUtilityKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = (discount / (1.0 - alphas) - 1.0) * self.A
         self.surplus_coef = np.where(self.log_types, 0.0, coef)
+        # coefficient and exponent of each law's first and second r-derivative
+        ke, Aq = self.k * self.e, self.A * self.q
+        self._slopes = {
+            "demand": ((ke, self.e - 1.0), (ke * (self.e - 1.0), self.e - 2.0)),
+            "bill": ((Aq, self.q - 1.0), (Aq * (self.q - 1.0), self.q - 2.0)),
+            "surplus": ((-self.A, self.q - 1.0), (-discount * self.e * self.A, self.q - 2.0)),
+        }
 
+    # costs are transposed so that the per-type constants run along their
+    # last axis, which serves both shapes
     def __call__(self, costs: np.ndarray) -> np.ndarray:
-        """Net utilities at per-job costs of shape ``(n,)`` or ``(n, c)``.
-
-        Row ``j`` holds type ``j``'s costs; the columns of a 2-d array are
-        independent candidates (say, the points of a price grid).
-        """
-        col = (slice(None),) + (None,) * (costs.ndim - 1)  # per-type constants down rows
-        out = self.surplus_coef[col] * costs ** self.q[col]
+        """Net utilities at per-job costs of shape ``(n,)`` or ``(n, c)``."""
+        out = (self.surplus_coef * costs.T**self.q).T
         if self.any_log:
             m = self.log_types
-            out[m] = (
-                self.c[m][col] * (self.log_k[m][col] + self.e[m][col] * np.log(costs[m]))
-                - self.A[m][col]
-            )
+            out[m] = (self.c[m] * (self.log_k[m] + self.e[m] * np.log(costs[m]).T) - self.A[m]).T
         return out
+
+    def demand(self, costs: np.ndarray) -> np.ndarray:
+        """Jobs per user ``k * r**e``."""
+        return (self.k * costs.T**self.e).T
+
+    def bill(self, costs: np.ndarray, weights=1.0) -> np.ndarray:
+        """What one user pays, ``A * r**q``, times ``weights`` (say, the counts)."""
+        return (weights * self.A * costs.T**self.q).T
+
+    def derivatives(self, law: str, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second r-derivatives of ``"demand"``, ``"bill"`` or
+        ``"surplus"`` (net utility) at costs of shape ``(n,)``."""
+        (a, p), (b, s) = self._slopes[law]
+        return a * costs**p, b * costs**s

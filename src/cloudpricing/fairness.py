@@ -87,9 +87,11 @@ def log_sum_exp(a: np.ndarray, weights: np.ndarray, axis=None):
     return np.squeeze(np.log(total) + shift, axis=axis)
 
 
-def _log_power_sum(u: np.ndarray, w: np.ndarray, exponent: float) -> float:
-    """log( sum_j w_j * u_j**exponent ), stable for large |exponent|."""
-    return float(log_sum_exp(exponent * np.log(u), w))
+def _log_power_sum(u: np.ndarray, w: np.ndarray, beta: float) -> float:
+    """log( sum_j w_j * u_j**(1-beta) ), in the log domain from LOG_DOMAIN_BETA on."""
+    if beta >= LOG_DOMAIN_BETA:
+        return float(log_sum_exp((1.0 - beta) * np.log(u), w))
+    return math.log(float(np.sum(w * u ** (1.0 - beta))))
 
 
 def beta_fairness(utilities, beta: float, weights=None) -> float:
@@ -101,7 +103,7 @@ def beta_fairness(utilities, beta: float, weights=None) -> float:
     _check_beta(beta)
     u, w = _check_utilities(utilities, weights)
     if beta >= LOG_DOMAIN_BETA:
-        log_total = _log_power_sum(u, w, 1.0 - beta)
+        log_total = _log_power_sum(u, w, beta)
         if log_total > _LOG_FLOAT_MAX:
             # the sum is past the float range, but its quotient may not be;
             # -inf beyond it, as in the direct branch
@@ -119,10 +121,7 @@ def beta_lambda_fairness(utilities, spec: FairnessSpec, weights=None) -> float:
     beta, lam = spec.beta, spec.lam
     sign = 1.0 if beta < 1.0 else -1.0
     log_total = math.log(float(np.sum(w * u)))
-    if beta >= LOG_DOMAIN_BETA:
-        log_equity = _log_power_sum(u, w, 1.0 - beta) / beta
-    else:
-        log_equity = math.log(float(np.sum(w * u ** (1.0 - beta)))) / beta
+    log_equity = _log_power_sum(u, w, beta) / beta
     return sign * math.exp(log_equity + (lam + 1.0 - 1.0 / beta) * log_total)
 
 
@@ -139,10 +138,7 @@ def equitability_efficiency_split(
     beta, lam = spec.beta, spec.lam
     sign = 1.0 if beta < 1.0 else -1.0
     log_total = math.log(float(np.sum(w * u)))
-    if beta >= LOG_DOMAIN_BETA:
-        log_power = _log_power_sum(u, w, 1.0 - beta)
-    else:
-        log_power = math.log(float(np.sum(w * u ** (1.0 - beta))))
+    log_power = _log_power_sum(u, w, beta)
     equitability = sign * math.exp(log_power / beta + (1.0 - 1.0 / beta) * log_total)
     efficiency = math.exp(lam * log_total)
     return equitability, efficiency

@@ -88,21 +88,20 @@ class SolverConfig:
     ``tolerance`` bounds the final barrier gap, measured relative to the
     magnitude of the objective at the returned prices (floored at one);
     ``barrier_update`` is the geometric factor applied to the barrier
-    weight between outer rounds.  The Hessian is analytic unless
-    ``use_fd_hessian`` asks for central differences of the gradient with
-    step ``fd_step``.
+    weight between outer rounds, which starts at ``barrier_init`` times a
+    scale balancing the objective's slope against the barrier's; each
+    centering solve takes at most ``max_newton_iterations`` damped Newton
+    steps on the analytic Hessian.
     """
 
     tolerance: float = 1e-6
     barrier_update: float = 20.0
     barrier_init: float = 1.0
     max_newton_iterations: int = 80
-    fd_step: float = 1e-6
-    use_fd_hessian: bool = False
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0 or self.barrier_init <= 0.0 or self.fd_step <= 0.0:
-            raise ValueError("tolerance, barrier_init, and fd_step must be positive")
+        if self.tolerance <= 0.0 or self.barrier_init <= 0.0:
+            raise ValueError("tolerance and barrier_init must be positive")
         if not self.barrier_update > 1.0:
             raise ValueError(f"barrier_update must exceed 1, got {self.barrier_update}")
         if self.max_newton_iterations < 1:
@@ -189,9 +188,9 @@ class _PriceProblem:
     """Objective, constraints, and derivatives as functions of the prices.
 
     Per-job costs are linear in the price vector (``r = D @ p``), and every
-    per-type quantity is a power law ``a * r**b``, so first and second
-    derivatives in price space are congruence transforms of per-type scalar
-    derivatives by ``D``.
+    per-type quantity is a power law of its cost (``kernel``), so first and
+    second derivatives in price space are congruence transforms of per-type
+    scalar derivatives by ``D``.
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
@@ -200,11 +199,8 @@ class _PriceProblem:
         self.instance = instance
         self.kind = plan_kind
         gamma = instance.discount
-        self.gamma = gamma
         self.w = instance.counts
-        self.utilities = instance.utility_kernel()
-        self.k, self.e = self.utilities.k, self.utilities.e
-        self.A, self.q = self.utilities.A, self.utilities.q
+        self.kernel = instance.utility_kernel()
         R = instance.requirement_matrix
 
         if plan_kind == "bundled":
@@ -239,16 +235,24 @@ class _PriceProblem:
     def costs(self, prices: np.ndarray) -> np.ndarray:
         return self.D @ prices
 
-    def demands(self, costs: np.ndarray) -> np.ndarray:
-        return self.k * costs**self.e
-
     def slacks(self, costs: np.ndarray) -> np.ndarray:
-        return self.limits - self.G @ self.demands(costs)
+        return self.limits - self.G @ self.kernel.demand(costs)
+
+    def load(self, prices: np.ndarray) -> float:
+        """Largest share of any capacity row that demand at these prices uses."""
+        with np.errstate(over="ignore"):
+            used = self.G @ self.kernel.demand(self.costs(prices))
+        return float(np.max(used / self.limits))
+
+    def level_for_load(self, target: float, base=None):
+        """Smallest multiple of ``base`` (uniform prices by default) whose load is ``target``."""
+        base = np.ones(self.dim) if base is None else base
+        return _bisect_load(lambda scale: self.load(scale * base), target)
 
     def objective_value(self, spec: ObjectiveSpec, costs: np.ndarray) -> float:
         with np.errstate(over="ignore", divide="ignore"):
-            revenue = float(np.sum(self.w * self.A * costs**self.q))
-            utils = self.utilities(costs)
+            revenue = float(np.sum(self.kernel.bill(costs, self.w)))
+            utils = self.kernel(costs)
             if np.any(utils <= 0.0) or not np.all(np.isfinite(utils)):
                 return -math.inf
             fairness = beta_fairness(utils, spec.beta, weights=self.w)
@@ -259,11 +263,9 @@ class _PriceProblem:
     ) -> tuple[np.ndarray, np.ndarray]:
         """First and second derivatives of the objective per per-job cost."""
         beta, nu = spec.beta, spec.nu
-        utils = self.utilities(costs)
-        rev1 = self.A * self.q * costs ** (self.q - 1.0)
-        rev2 = self.A * self.q * (self.q - 1.0) * costs ** (self.q - 2.0)
-        u1 = -self.A * costs ** (self.q - 1.0)
-        u2 = -self.gamma * self.e * self.A * costs ** (self.q - 2.0)
+        utils = self.kernel(costs)
+        rev1, rev2 = self.kernel.derivatives("bill", costs)
+        u1, u2 = self.kernel.derivatives("surplus", costs)
         with np.errstate(over="ignore"):
             um_b = utils**-beta
             fair1 = um_b * u1
@@ -273,27 +275,35 @@ class _PriceProblem:
         return first, second
 
 
-def _bisect_load(load, target: float) -> float:
-    """Smallest scale with load(scale) <= target; load strictly decreasing."""
-    lo, hi = 1.0, 1.0
-    for _ in range(80):
-        if load(lo) > target:
+def _bisect_load(load, target):
+    """Smallest scales with load(scale) <= target, elementwise.
+
+    ``load`` maps an array of scales to as many loads, each strictly
+    decreasing in its own scale.  The bracket widens geometrically from one
+    by up to 4**300 each way, then 96 halvings of its log-width pin each
+    scale to float resolution.
+    """
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.ones_like(target), np.ones_like(target)
+    for _ in range(300):
+        low = ~(load(lo) > target)
+        if not low.any():
             break
-        lo /= 4.0
+        lo = np.where(low, lo / 4.0, lo)
     else:
         raise InfeasibleError("demand never reaches capacity at any positive price")
-    for _ in range(80):
-        if load(hi) < target:
+    for _ in range(300):
+        high = ~(load(hi) < target)
+        if not high.any():
             break
-        hi *= 4.0
+        hi = np.where(high, hi * 4.0, hi)
     else:
         raise InfeasibleError("no price high enough to fit demand inside capacity")
     for _ in range(96):
-        mid = math.sqrt(lo * hi)
-        if load(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        mid = np.sqrt(lo * hi)
+        above = load(mid) > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
     return hi
 
 
@@ -305,43 +315,36 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     slice of its own binding resource: a uniform start can leave a type's
     demand negligible, and its flat objective coordinate then drifts on the
     barrier instead of optimizing.  When positive net utilities, or an
-    objective inside the float range (``F_beta`` of tiny utilities at large
-    ``beta`` is not), require lower prices than the half-capacity point
-    allows, the target is relaxed toward the boundary.
+    objective and cost derivatives inside the float range (``F_beta`` of
+    tiny utilities at large ``beta`` is not), require lower prices than the
+    half-capacity point allows, the target is relaxed toward the boundary.
+    A start whose objective is finite but whose derivatives overflow is
+    kept only when no target gives finite derivatives.
     """
 
-    def prices_at(scale: float, base: np.ndarray) -> np.ndarray:
-        return scale * base
+    def own_loads(prices: np.ndarray) -> np.ndarray:
+        """Each type's largest capacity share at its own price, alone."""
+        with np.errstate(over="ignore"):
+            used = problem.G * problem.kernel.demand(prices)
+        return np.max(used / problem.limits[:, None], axis=0)
 
+    fallback = None
     for target in (0.5, 0.8, 0.95, 0.99):
         if problem.kind == "differentiated":
-            base = np.empty(problem.dim)
-            share = target / problem.dim
-            for j in range(problem.dim):
-                row = problem.G[:, j]  # this type's usage per job of each resource
-
-                def own_load(price: float, j=j, row=row) -> float:
-                    with np.errstate(over="ignore"):
-                        x = problem.k[j] * price ** problem.e[j]
-                    return float(np.max(row * x / problem.limits))
-
-                base[j] = _bisect_load(own_load, share)
-
-            def joint_load(s: float) -> float:
-                used = problem.G @ problem.demands(problem.costs(prices_at(s, base)))
-                return float(np.max(used / problem.limits))
-
-            start = prices_at(_bisect_load(joint_load, target), base)
+            base = _bisect_load(own_loads, np.full(problem.dim, target / problem.dim))
+            start = problem.level_for_load(target, base) * base
         else:
-            def load(scale: float) -> float:
-                costs = problem.costs(np.full(problem.dim, scale))
-                with np.errstate(over="ignore"):
-                    used = problem.G @ problem.demands(costs)
-                return float(np.max(used / problem.limits))
-
-            start = np.full(problem.dim, _bisect_load(load, target))
-        if math.isfinite(problem.objective_value(spec, problem.costs(start))):
-            return start
+            start = np.full(problem.dim, problem.level_for_load(target))
+        costs = problem.costs(start)
+        if math.isfinite(problem.objective_value(spec, costs)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                slopes = problem.objective_cost_derivatives(spec, costs)
+            if all(np.all(np.isfinite(s)) for s in slopes):
+                return start
+            if fallback is None:
+                fallback = start
+    if fallback is not None:
+        return fallback
     raise InfeasibleError(
         "no strictly feasible price vector keeps every type's net utility positive "
         f"and F_beta (beta={spec.beta:g}) inside the float range"
@@ -369,58 +372,25 @@ def _barrier_value(problem, spec, t_scaled, prices, ceiling) -> float:
     )
 
 
-def _barrier_gradient(problem, spec, t_scaled, prices, ceiling) -> np.ndarray:
+def _barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
+    """Gradient and Hessian of the barrier function in price space."""
     costs = problem.costs(prices)
+    D = problem.D
     with np.errstate(over="ignore", invalid="ignore"):
-        x1 = problem.k * problem.e * costs ** (problem.e - 1.0)
+        x1, x2 = problem.kernel.derivatives("demand", costs)
         slack = problem.slacks(costs)
-        obj1, _ = problem.objective_cost_derivatives(spec, costs)
-        grad = -t_scaled * (problem.D.T @ obj1)
-        jac = (problem.G * x1[None, :]) @ problem.D  # d usage_i / d p
+        obj1, obj2 = problem.objective_cost_derivatives(spec, costs)
+        jac = (problem.G * x1[None, :]) @ D  # d usage_i / d p
+        grad = -t_scaled * (D.T @ obj1)
         grad += jac.T @ (1.0 / slack)
         grad -= 1.0 / prices
         grad += 1.0 / (ceiling - prices)
-    return grad
-
-
-def _barrier_hessian(problem, spec, t_scaled, prices, ceiling) -> np.ndarray:
-    costs = problem.costs(prices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1 = problem.k * problem.e * costs ** (problem.e - 1.0)
-        x2 = problem.k * problem.e * (problem.e - 1.0) * costs ** (problem.e - 2.0)
-        slack = problem.slacks(costs)
-        _, obj2 = problem.objective_cost_derivatives(spec, costs)
-        D = problem.D
         hess = -t_scaled * (D.T * obj2) @ D
-        jac = (problem.G * x1[None, :]) @ D
         hess += (jac.T / slack**2) @ jac
         curvature = (problem.G * x2[None, :]) / slack[:, None]  # sum_i (d2 usage)/slack
         hess += (D.T * curvature.sum(axis=0)) @ D
         hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
-    return hess
-
-
-def _fd_hessian(problem, spec, t_scaled, prices, ceiling, step) -> np.ndarray:
-    d = prices.size
-    hess = np.empty((d, d))
-    for kk in range(d):
-        h = step * max(1.0, abs(prices[kk]))
-        for _ in range(40):
-            plus = prices.copy()
-            minus = prices.copy()
-            plus[kk] += h
-            minus[kk] -= h
-            if (
-                _barrier_value(problem, spec, t_scaled, plus, ceiling) < math.inf
-                and _barrier_value(problem, spec, t_scaled, minus, ceiling) < math.inf
-            ):
-                break
-            h *= 0.5
-        hess[kk] = (
-            _barrier_gradient(problem, spec, t_scaled, plus, ceiling)
-            - _barrier_gradient(problem, spec, t_scaled, minus, ceiling)
-        ) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+    return grad, hess
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -457,14 +427,8 @@ def _newton_minimize(
     """Damped Newton with backtracking on the barrier function."""
     value = _barrier_value(problem, spec, t_scaled, prices, ceiling)
     for iteration in range(config.max_newton_iterations):
-        grad = _barrier_gradient(problem, spec, t_scaled, prices, ceiling)
-        if not np.all(np.isfinite(grad)):
-            return prices, iteration, False
-        if config.use_fd_hessian:
-            hess = _fd_hessian(problem, spec, t_scaled, prices, ceiling, config.fd_step)
-        else:
-            hess = _barrier_hessian(problem, spec, t_scaled, prices, ceiling)
-        if not np.all(np.isfinite(hess)):
+        grad, hess = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             return prices, iteration, False
         direction = _newton_direction(hess, grad)
         decrement = -float(grad @ direction)
@@ -501,8 +465,7 @@ def _newton_minimize(
                 return prices, iteration, settled
         prices = prices + step * direction
         value = cand_value
-    grad = _barrier_gradient(problem, spec, t_scaled, prices, ceiling)
-    hess = _barrier_hessian(problem, spec, t_scaled, prices, ceiling)
+    grad, hess = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
     direction = _newton_direction(hess, grad)
     converged = bool(-float(grad @ direction) / 2.0 <= 1e-6 * (1.0 + abs(value)))
     return prices, config.max_newton_iterations, converged
@@ -566,8 +529,7 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
     P = np.stack([axes[d][coords[d]] for d in range(problem.dim)])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         R = problem.D @ P
-        X = problem.k[:, None] * R ** problem.e[:, None]
-        usage = problem.G @ X
+        usage = problem.G @ problem.kernel.demand(R)
         valid = np.all(usage < problem.limits[:, None], axis=0) & np.all(R > 0.0, axis=0)
         values = np.full(flat.size, -math.inf)
         for idx in np.nonzero(valid)[0]:
@@ -590,10 +552,7 @@ def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, start: np.nda
     """
 
     def usable(prices: np.ndarray) -> bool:
-        costs = problem.costs(prices)
-        if np.any(costs <= 0.0) or np.any(problem.slacks(costs) <= 0.0):
-            return False
-        return math.isfinite(problem.objective_value(spec, costs))
+        return _barrier_value(problem, spec, 0.0, prices, math.inf) < math.inf
 
     yield start
     uniform = np.full(problem.dim, float(np.exp(np.mean(np.log(start)))))
@@ -640,9 +599,8 @@ def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
                 problem.D.T @ problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
             )
         )
-    barrier_slope = float(
-        np.linalg.norm(_barrier_gradient(problem, spec, 0.0, prices, ceiling))
-    )
+    barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, prices, ceiling)
+    barrier_slope = float(np.linalg.norm(barrier_grad))
     t = config.barrier_init * max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
     total_iterations = 0
     message = ""
@@ -681,46 +639,15 @@ def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
     )
 
 
-def bundled_price_bisection(
-    instance: Instance, bundle=None, rtol: float = 1e-8, max_iter: int = 400
-) -> float:
+def bundled_price_bisection(instance: Instance, bundle=None) -> float:
     """Lowest feasible bundle price: demand exactly fills the bundles.
 
     The weighted objective under bundled pricing is maximized at the lowest
     feasible price for every revenue weight, so the optimum reduces to a
-    one-dimensional root of the bundle-count constraint.  Returns the price
-    where total bundle demand equals the available bundles, with relative
-    residual at most ``rtol``.
+    one-dimensional root of the bundle-count constraint, found by geometric
+    bisection to float resolution.
     """
-    problem = _PriceProblem(instance, "bundled", bundle)
-    available = problem.limits[0]
-
-    def excess(price: float) -> float:
-        costs = problem.costs(np.array([price]))
-        return float(problem.G[0] @ problem.demands(costs)) - available
-
-    lo = hi = 1.0
-    for _ in range(600):
-        if excess(lo) > 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise InfeasibleError("bundle demand never exceeds supply at any positive price")
-    for _ in range(600):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleError("bundle demand never fits within supply at any finite price")
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(excess(hi)) <= rtol * available:
-            break
-    return hi
+    return float(_PriceProblem(instance, "bundled", bundle).level_for_load(1.0))
 
 
 def grid_oracle(
@@ -763,14 +690,13 @@ def grid_oracle(
             R = problem.D @ P  # (n, c) per-job costs
             valid = np.all(P > 0.0, axis=0) & np.all(R > 0.0, axis=0)
             Rsafe = np.where(R > 0.0, R, 1.0)
-            X = problem.k[:, None] * Rsafe ** problem.e[:, None]
-            usage = problem.G @ X
+            usage = problem.G @ problem.kernel.demand(Rsafe)
             valid &= np.all(usage <= problem.limits[:, None] + FEASIBILITY_ATOL, axis=0)
 
-            utils = problem.utilities(Rsafe)
+            utils = problem.kernel(Rsafe)
             valid &= np.all(utils > 0.0, axis=0) & np.all(np.isfinite(utils), axis=0)
 
-            revenue = np.sum(w * problem.A[:, None] * Rsafe ** problem.q[:, None], axis=0)
+            revenue = np.sum(problem.kernel.bill(Rsafe, problem.w), axis=0)
             logs = np.where(utils > 0.0, np.log(utils), 0.0)
             if log_domain:
                 fairness = np.exp(log_sum_exp((1.0 - beta) * logs, w, axis=0)) / (1.0 - beta)

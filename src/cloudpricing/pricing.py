@@ -151,7 +151,7 @@ class Instance:
         return np.array([u.utility.alpha for u in self.user_types])
 
     def utility_kernel(self) -> NetUtilityKernel:
-        """Per-type demand curves ``x*_j(r) = k_j * r**e_j`` and net utilities."""
+        """Per-type demand, bill and net utility as power laws of the per-job cost."""
         return NetUtilityKernel([u.utility for u in self.user_types], self.discount)
 
 
@@ -264,17 +264,16 @@ def evaluate(instance: Instance, plan: PricingPlan) -> Outcome:
     Never raises on an over-capacity plan; infeasibility is recorded in the
     ``feasible`` flag so that searches can step through infeasible points.
     """
-    gamma = instance.discount
     costs = plan.per_job_costs(instance)
     kernel = instance.utility_kernel()
-    demands = kernel.k * costs**kernel.e
+    demands = kernel.demand(costs)
     # a log-utility type whose interior optimum loses money opts out: its
     # surplus is reported as 0, as demand.net_utility does
     utilities = np.maximum(kernel(costs), 0.0)
     counts = instance.counts
     usage = instance.requirement_matrix @ (counts * demands)
     leftover = instance.resources.capacities - usage
-    revenue = float(np.sum(counts * costs * demands**gamma))
+    revenue = float(np.sum(kernel.bill(costs, counts)))
 
     if isinstance(plan, BundledPlan):
         mu = np.array([bundle_requirement(u, plan.bundle) for u in instance.user_types])

@@ -112,12 +112,14 @@ def phase_one(A_ge, b_ge, A_le, b_le) -> PhaseOneResult:
         T[touched] -= factors[touched, None] * T[leaving]
         basis[leaving] = entering
 
+    # basic values are nonnegative in exact arithmetic; pivots can leave -1e-16
+    values = np.maximum(rhs, 0.0)
     x = np.zeros(n)
     artificials = np.zeros(n_ge)
     structural = basis < n
-    x[basis[structural]] = rhs[structural]
+    x[basis[structural]] = values[structural]
     artificial = basis >= art_start
-    artificials[basis[artificial] - art_start] = rhs[artificial]
+    artificials[basis[artificial] - art_start] = values[artificial]
     return PhaseOneResult(
         feasible=bool(np.all(artificials <= FEASIBILITY_RTOL * np.maximum(1.0, b_ge))),
         x=x,

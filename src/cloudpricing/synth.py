@@ -92,36 +92,13 @@ def sample_feasible_prices(
     from .optimizer import _PriceProblem
 
     problem = _PriceProblem(instance, plan_kind, bundle)
-
-    def load(scale: float) -> float:
-        costs = problem.costs(np.full(problem.dim, scale))
-        with np.errstate(over="ignore"):
-            used = problem.G @ problem.demands(costs)
-        return float(np.max(used / problem.limits))
-
-    lo, hi = 1.0, 1.0
-    for _ in range(200):
-        if load(lo) > load_target:
-            break
-        lo /= 4.0
-    for _ in range(200):
-        if load(hi) < load_target:
-            break
-        hi *= 4.0
-    for _ in range(80):
-        mid = (lo * hi) ** 0.5
-        if load(mid) > load_target:
-            lo = mid
-        else:
-            hi = mid
-    base = hi
-
+    base = problem.level_for_load(load_target)
     samples = []
     while len(samples) < count:
         factors = 1.0 + rng.exponential(0.5, size=problem.dim)
         prices = base * factors
         costs = problem.costs(prices)
-        utils = problem.utilities(costs)
+        utils = problem.kernel(costs)
         if np.all(problem.slacks(costs) > 0.0) and np.all(utils > 0.0):
             samples.append(prices)
     return samples

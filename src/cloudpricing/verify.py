@@ -29,11 +29,15 @@ from .optimizer import (
     grid_oracle,
     objective,
     tradeoff_bound_check,
+    _PriceProblem,
 )
 from .pricing import (
+    BundledPlan,
     DifferentiatedPlan,
     Instance,
+    ResourceModel,
     ResourcePlan,
+    UserType,
     evaluate,
     lift_resource_to_differentiated,
 )
@@ -45,7 +49,9 @@ from .synth import (
 )
 from .trace import aggregate_and_filter, kmeans
 
-__all__ = ["CheckResult", "SCOPES", "run_checks", "objective_price_hessian"]
+__all__ = [
+    "CheckResult", "SCOPES", "run_checks", "central_difference_hessian", "objective_price_hessian"
+]
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,31 @@ def random_demand_tuples(rng: np.random.Generator, count: int):
     return out
 
 
+def central_difference_hessian(value, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Hessian of ``value`` at ``point`` by central differences of its values.
+
+    Each coordinate steps by ``step * max(1, |point_k|)``; the mixed
+    partials use the four-point stencil, so the result is symmetric.
+    """
+    d = point.size
+    hess = np.empty((d, d))
+    h = step * np.maximum(1.0, np.abs(point))
+    for a in range(d):
+        for b in range(a, d):
+            pp = point.copy()
+            pm = point.copy()
+            mp = point.copy()
+            mm = point.copy()
+            pp[a] += h[a]; pp[b] += h[b]
+            pm[a] += h[a]; pm[b] -= h[b]
+            mp[a] -= h[a]; mp[b] += h[b]
+            mm[a] -= h[a]; mm[b] -= h[b]
+            hess[a, b] = hess[b, a] = (
+                value(pp) - value(pm) - value(mp) + value(mm)
+            ) / (4.0 * h[a] * h[b])
+    return hess
+
+
 def objective_price_hessian(
     instance: Instance,
     plan_kind: str,
@@ -77,30 +108,10 @@ def objective_price_hessian(
     step: float = 1e-4,
 ) -> np.ndarray:
     """Central-difference Hessian of the weighted objective in price space."""
-    from .optimizer import _PriceProblem
-
     problem = _PriceProblem(instance, plan_kind, bundle)
-
-    def value(p: np.ndarray) -> float:
-        return problem.objective_value(spec, problem.costs(p))
-
-    d = prices.size
-    hess = np.empty((d, d))
-    h = step * np.maximum(1.0, np.abs(prices))
-    for a in range(d):
-        for b in range(a, d):
-            pp = prices.copy()
-            pm = prices.copy()
-            mp = prices.copy()
-            mm = prices.copy()
-            pp[a] += h[a]; pp[b] += h[b]
-            pm[a] += h[a]; pm[b] -= h[b]
-            mp[a] -= h[a]; mp[b] += h[b]
-            mm[a] -= h[a]; mm[b] -= h[b]
-            hess[a, b] = hess[b, a] = (
-                value(pp) - value(pm) - value(mp) + value(mm)
-            ) / (4.0 * h[a] * h[b])
-    return hess
+    return central_difference_hessian(
+        lambda p: problem.objective_value(spec, problem.costs(p)), prices, step
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +239,6 @@ def _check_revenue_decreasing(rng, n_instances: int, n_points: int) -> CheckResu
 
 
 def _check_log_utility_revenue(rng) -> CheckResult:
-    from .pricing import ResourceModel, UserType
-
     instance = Instance(
         resources=ResourceModel(names=("r",), capacities=(50.0,)),
         user_types=(UserType("log", 3, (1.0,), UtilityParams(1.0, 2.0)),),
@@ -324,8 +333,6 @@ def _check_plan_dominance(rng, n_instances: int) -> CheckResult:
         res = barrier_optimize(instance, "resource", spec, config)
         diff = barrier_optimize(instance, "differentiated", spec, config)
         price = bundled_price_bisection(instance)
-        from .pricing import BundledPlan
-
         bundled_value = objective(
             instance,
             BundledPlan(bundle=instance.resources.capacities, price=price * (1 + 1e-9)),
@@ -473,14 +480,17 @@ def _check_tradeoff_bounds(rng, n_instances: int, n_points: int) -> CheckResult:
     )
 
 
-def _check_tradeoff_equality(rng) -> CheckResult:
-    from .pricing import ResourceModel, UserType
-
-    instance = Instance(
+def _single_type_instance() -> Instance:
+    """One half-elastic type on one resource of capacity 4: optimum price 0.5."""
+    return Instance(
         resources=ResourceModel(names=("r",), capacities=(4.0,)),
         user_types=(UserType("a", 1, (1.0,), UtilityParams(0.5, 1.0)),),
         discount=1.0,
     )
+
+
+def _check_tradeoff_equality(rng) -> CheckResult:
+    instance = _single_type_instance()
     worst = 0.0
     for price in (0.6, 1.0, 3.0):
         plan = DifferentiatedPlan(prices=np.array([price]))
@@ -500,13 +510,7 @@ def _check_tradeoff_equality(rng) -> CheckResult:
 
 
 def _check_oracle_toy(rng) -> CheckResult:
-    from .pricing import ResourceModel, UserType
-
-    toy = Instance(
-        resources=ResourceModel(names=("r",), capacities=(4.0,)),
-        user_types=(UserType("a", 1, (1.0,), UtilityParams(0.5, 1.0)),),
-        discount=1.0,
-    )
+    toy = _single_type_instance()
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
     grid = grid_oracle(toy, "differentiated", spec, [np.arange(0.4, 1.2, 1e-4)])
     solved = barrier_optimize(toy, "differentiated", spec, SolverConfig(tolerance=1e-9))

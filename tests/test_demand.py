@@ -193,6 +193,33 @@ class TestNetUtilityKernel:
                 scale = direct
             assert abs(values[index] - direct) <= 1e-12 * scale
 
+    @given(market=mixed_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_derivatives(self, market, data):
+        utilities, gamma = market
+        n = len(utilities)
+        costs = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+        kernel = NetUtilityKernel(utilities, gamma)
+        slope, _ = kernel.derivatives("demand", costs)
+        for j, u in enumerate(utilities):
+            exact = demand_sensitivity(u, float(costs[j]), gamma)
+            assert slope[j] == pytest.approx(exact, rel=1e-12)
+
+        h = 1e-4 * costs
+        # a log type's surplus c * log(x) - A can cancel: its rounding error
+        # scales with the terms, not with the difference
+        terms = kernel.bill(costs) * (1.0 + np.abs(np.log(kernel.demand(costs))))
+
+        def matches(value, exact, magnitude=0.0):
+            numeric = (value(costs + h) - value(costs - h)) / (2.0 * h)
+            rounding = 1e-13 * (np.abs(value(costs + h)) + np.abs(value(costs - h)) + magnitude)
+            assert np.all(np.abs(numeric - exact) <= 1e-5 * np.abs(exact) + rounding / h)
+
+        for law, value in (("demand", kernel.demand), ("bill", kernel.bill), ("surplus", kernel)):
+            first, second = kernel.derivatives(law, costs)
+            matches(value, first, terms if law == "surplus" else 0.0)
+            matches(lambda r: kernel.derivatives(law, r)[0], second)
+
 
 class TestInvariants:
     def test_closed_form_vs_bisection_bulk(self, rng):

@@ -22,7 +22,14 @@ from cloudpricing import (
     tradeoff_bound_check,
 )
 from cloudpricing.fairness import beta_fairness
-from cloudpricing.synth import random_instance, sample_feasible_prices
+from cloudpricing.optimizer import (
+    _barrier_derivatives,
+    _barrier_value,
+    _feasible_start,
+    _PriceProblem,
+)
+from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
+from cloudpricing.verify import central_difference_hessian
 
 TIGHT = SolverConfig(tolerance=1e-9)
 
@@ -102,17 +109,32 @@ class TestBarrier:
             assert result.converged
             assert result.outcome.feasible
 
-    def test_fd_hessian_path_agrees(self, toy_instance):
+    def test_barrier_hessian_matches_central_differences(self, toy_instance, reference_instance):
+        # the analytic Hessian against verify's finite differences of the
+        # barrier value, at the solver's start and at a point deeper inside
         spec = ObjectiveSpec(1.0, 2.0)
-        analytic = barrier_optimize(toy_instance, "differentiated", spec, TIGHT)
-        fd = barrier_optimize(
-            toy_instance,
-            "differentiated",
-            spec,
-            SolverConfig(tolerance=1e-9, use_fd_hessian=True),
-        )
-        assert fd.converged
-        assert fd.plan.prices[0] == pytest.approx(analytic.plan.prices[0], rel=1e-6)
+        for instance in (toy_instance, reference_instance):
+            for kind in ("bundled", "resource", "differentiated"):
+                problem = _PriceProblem(instance, kind)
+                start = _feasible_start(problem, spec)
+                ceiling = np.full(problem.dim, 1e4 * float(np.max(start)))
+                for prices, t_scaled in ((start, 1.0), (1.3 * start, 40.0)):
+                    _, analytic = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+                    numeric = central_difference_hessian(
+                        lambda p: _barrier_value(problem, spec, t_scaled, p, ceiling), prices
+                    )
+                    scale = float(np.max(np.abs(analytic)))
+                    assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale, (instance, kind)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_start_with_overflowing_derivatives_relaxes(self, nu):
+        # at gamma 0.64 and beta 20 the half-load bundled start has a finite
+        # F_beta but objective derivatives beyond the float range, where the
+        # ladder cannot move; the start must relax to a higher load instead
+        instance = google_cluster_instance(gamma=0.64)
+        result = barrier_optimize(instance, "bundled", ObjectiveSpec(nu, 20.0))
+        assert result.converged
+        assert result.plan.price == pytest.approx(bundled_price_bisection(instance), rel=1e-6)
 
     def test_stalled_solve_reports_diagnostics(self, reference_instance):
         # a one-iteration Newton budget cannot reach the central path: the
@@ -191,6 +213,20 @@ class TestBundledBisection:
         available = 6.0
         residual = abs(float(np.sum(counts * mu * out.demands)) - available)
         assert residual <= 1e-8 * available
+
+    def test_root_far_below_one(self):
+        # demand r**-2 fills 1e100 units at r = 1e-50: the bracket must widen
+        # 166 halvings below one, for the root and for the barrier's start alike
+        instance = Instance(
+            resources=ResourceModel(names=("r",), capacities=(1e100,)),
+            user_types=(UserType("a", 1, (1.0,), UtilityParams(0.5, 1.0)),),
+            discount=1.0,
+        )
+        bundle = np.array([1.0])
+        assert bundled_price_bisection(instance, bundle) == pytest.approx(1e-50, rel=1e-12)
+        result = barrier_optimize(instance, "bundled", ObjectiveSpec(1.0, 2.0), bundle=bundle)
+        assert result.converged
+        assert result.plan.price == pytest.approx(1e-50, rel=1e-6)
 
     def test_doubling_capacity_lowers_price(self, reference_instance):
         bundle = np.array([1.0, 1.0])

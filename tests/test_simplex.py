@@ -43,6 +43,12 @@ class TestPhaseOne:
         assert np.all(np.asarray(A_ge) @ x >= np.asarray(b_ge) - 1e-9)
         assert np.all(np.asarray(A_le) @ x <= np.asarray(b_le) + 1e-9)
 
+    def test_witness_never_negative(self):
+        # rounding in the pivots puts x[2] at -8.9e-16 unless basic values are clamped
+        result = phase_one([[3, 0.5, 0], [0.5, 0.5, 0.5]], [2.5, 2.5], [[0, 0, 0]], [0])
+        assert result.feasible
+        assert np.all(result.x >= 0.0)
+
     def test_zero_demand_trivially_feasible(self):
         result = phase_one([[1.0, 0.0]], [0.0], [[1.0, 1.0]], [1.0])
         assert result.feasible
@@ -92,6 +98,6 @@ def test_verdict_and_witness_match_highs(system):
     ours = phase_one(A_ge, b_ge, A_le, b_le)
     assert ours.feasible == scipy_feasible(A_ge, b_ge, A_le, b_le)
     if ours.feasible:
-        assert np.all(ours.x >= -1e-8)
+        assert np.all(ours.x >= 0.0)
         assert np.all(A_ge @ ours.x >= b_ge - 1e-8)
         assert np.all(A_le @ ours.x <= b_le + 1e-8)
