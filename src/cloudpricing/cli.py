@@ -33,7 +33,6 @@ from .pricing import (
     load_instance,
     save_instance,
 )
-from .simplex import IterationBudgetError
 from .trace import (
     aggregate_and_filter,
     build_instance,
@@ -337,6 +336,8 @@ def _cmd_schedule(args) -> int:
     print(f"total revenue: {result.total_revenue:.6g}")
     print(f"total fairness: {result.total_fairness:.6g}")
     print(f"deferred mass: {sum(deferred.values()):.6g} across {len(deferred)} cohorts")
+    if not result.converged:
+        print("note: a stage-one price solve or the schedule repair did not close its gap")
     if args.out:
         payload = {
             "horizon": spec.horizon,
@@ -352,8 +353,7 @@ def _cmd_schedule(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    converged = all(r.converged for r in result.interval_results)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,9 +433,6 @@ def main(argv=None) -> int:
     except InfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except IterationBudgetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,24 +9,31 @@ demand without exceeding any interval's capacities.
 
 Revenue and fairness depend only on the posted prices (jobs are billed at
 submission-time prices), so the horizon problem splits into independent
-per-interval price optimizations plus a scheduling feasibility check,
-solved here as a phase-one linear program.  When the stage-wise optimal
-demands cannot be scheduled, prices are scaled up uniformly by the smallest
-factor restoring feasibility.
+per-interval price optimizations plus a schedulability repair.  Demand is
+isoelastic, so at prices scaled by ``sigma = 1 / v`` cohort ``c`` demands
+``d_c * v**p_c`` with ``p_c >= 1``, and the smallest schedulable scale is
+the convex program
+
+    max v  s.t.  A_ge x >= d * v**p,  A_le x <= b_le,  x >= 0
+
+(cohort rows ``A_ge``, interval capacity rows ``A_le``).  One log barrier,
+minimized by the price solver's damped Newton, solves it to a relative gap
+of ``REPAIR_RTOL`` (1e-9); the same program with every ``p_c = 1`` is a
+max-concurrent flow and answers :func:`schedule_feasible`.  Barrier
+iterates are strictly feasible, so the final one is a schedule that
+respects every capacity exactly.
 
 Work is shared where the numbers repeat.  Intervals whose stage-one markets
 agree in every number that drives the price solve (capacities after window
 relaxation, requirements, counts, utility parameters, discount and revenue
-weight; labels do not count) share one ``barrier_optimize`` call, and each
-bisection probe evaluates such a group's demand once.  The schedule LP's
-matrices are assembled once per horizon from numpy index arrays and kept on
-the :class:`IntervalDemandSpec`; each probe changes only the cohort
-right-hand sides.  A cohort counts as delivered when its shortfall is at
-most ``1e-9 * max(1, demand)`` (:data:`cloudpricing.simplex.FEASIBILITY_RTOL`).
+weight; labels do not count) share one ``barrier_optimize`` call.  The
+schedule constraints are assembled once per horizon from numpy index
+arrays and kept on the :class:`IntervalDemandSpec`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,15 +42,14 @@ import numpy as np
 
 from .fairness import beta_fairness
 from .optimizer import (
-    InfeasibleError,
     ObjectiveSpec,
     SolveResult,
     SolverConfig,
+    _newton_minimize,
     barrier_optimize,
     concavity_weight_bound,
 )
 from .pricing import Instance, ResourceModel, ResourcePlan, evaluate
-from .simplex import FEASIBILITY_RTOL, phase_one
 
 __all__ = [
     "IntervalMarket",
@@ -58,6 +64,12 @@ __all__ = [
     "horizon_spec_from_json",
     "load_horizon_spec",
 ]
+
+#: relative tolerance of the schedule repair: its barrier gap on ``v``, the
+#: verdict of :func:`schedule_feasible` and the smallest price scale posted
+REPAIR_RTOL = 1e-9
+#: barrier-weight rounds the repair may take before it is reported unconverged
+REPAIR_ROUNDS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +122,8 @@ class IntervalDemandSpec:
                     )
 
     @cached_property
-    def _schedule_lp(self) -> _ScheduleLP:
-        return _ScheduleLP(self)
+    def _schedule_system(self) -> _ScheduleSystem:
+        return _ScheduleSystem(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +200,7 @@ class HorizonResult:
     total_revenue: float
     total_fairness: float
     price_scale: float
-    feasible: bool
+    converged: bool
 
 
 def _schedule_variables(spec: IntervalDemandSpec) -> tuple[tuple[int, int, int], ...]:
@@ -203,21 +215,23 @@ def _schedule_variables(spec: IntervalDemandSpec) -> tuple[tuple[int, int, int],
 def build_program(spec: IntervalDemandSpec, beta: float) -> HorizonProgram:
     """Assemble the horizon program and enumerate its schedule variables.
 
-    Warns when an interval's revenue weight exceeds the concavity
-    certificate for that interval's market (the joint problem is then not
+    Warns once, naming every interval whose revenue weight exceeds the
+    concavity certificate for its market (the joint problem is then not
     certified convex).
     """
     if not beta > 0.0 or beta == 1.0:
         raise ValueError(f"beta must be positive and != 1, got {beta}")
+    above = []
     for s, interval in enumerate(spec.intervals, start=1):
         if beta > 1.0 and interval.nu > 0.0:
             certified = concavity_weight_bound(interval.instance, beta)
             if interval.nu > certified:
-                warnings.warn(
+                above.append(
                     f"interval {s}: revenue weight {interval.nu} exceeds the concavity "
-                    f"certificate {certified:.3g}; joint convexity is not guaranteed",
-                    stacklevel=2,
+                    f"certificate {certified:.3g}"
                 )
+    if above:
+        warnings.warn(f"{'; '.join(above)}; joint convexity is not guaranteed", stacklevel=2)
     return HorizonProgram(spec=spec, beta=beta, schedule_vars=_schedule_variables(spec))
 
 
@@ -228,13 +242,13 @@ def _demand_windows(spec: IntervalDemandSpec):
             yield j, s, tau, interval
 
 
-class _ScheduleLP:
-    """The schedule feasibility LP of one horizon, assembled once.
+class _ScheduleSystem:
+    """The schedule constraints of one horizon, assembled once.
 
-    Columns are the schedule variables in ``_schedule_variables`` order; the
-    >= rows are the cohorts in (submitted, type) order and the <= rows the
-    (interval, resource) capacities.  Only the cohort right-hand sides
-    depend on the demands.
+    Columns are the schedule variables in ``_schedule_variables`` order;
+    cohorts run in (submitted, type) order and capacity rows in (interval,
+    resource) order.  Each column delivers to one cohort and draws its
+    cohort's requirements from the capacity rows of one interval.
     """
 
     def __init__(self, spec: IntervalDemandSpec) -> None:
@@ -245,45 +259,140 @@ class _ScheduleLP:
         self.m = m = spec.intervals[0].instance.m
         self.names = spec.intervals[0].instance.resources.names
         columns = np.arange(len(self.variables))
-        cohort_of = np.repeat(np.arange(len(windows)), [tau - s + 1 for _, s, tau, _ in windows])
+        self.cohort_of = np.repeat(
+            np.arange(len(windows)), [tau - s + 1 for _, s, tau, _ in windows]
+        )
         processed = np.array([t for _, _, t in self.variables])
         # per-job requirements of each cohort, (cohort, resource)
         requirements = np.vstack(
             [interval.instance.requirement_matrix.T for interval in spec.intervals]
         )
-        self.A_ge = np.zeros((len(windows), columns.size))
-        self.A_ge[cohort_of, columns] = 1.0
+        self.requirements = requirements[self.cohort_of]  # (column, resource)
+        self.capacity_rows = (processed - 1)[:, None] * m + np.arange(m)
         self.A_le = np.zeros((spec.horizon * m, columns.size))
-        capacity_rows = (processed - 1)[:, None] * m + np.arange(m)
-        self.A_le[capacity_rows, columns[:, None]] = requirements[cohort_of]
+        self.A_le[self.capacity_rows, columns[:, None]] = self.requirements
         self.b_le = np.concatenate(
             [interval.instance.resources.capacities for interval in spec.intervals]
         )
+        #: each cohort's demand exponent ``p = -e`` in the price scale
+        self.powers = np.concatenate(
+            [-interval.instance.utility_kernel().e for interval in spec.intervals]
+        )
 
-    def solve(self, demands) -> tuple[bool, Schedule | InfeasibilityCertificate]:
-        b_ge = np.concatenate(demands)
-        result = phase_one(self.A_ge, b_ge, self.A_le, self.b_le)
-        if result.feasible:
-            positive = np.flatnonzero(result.x > 0.0)
-            amounts = {self.variables[k]: float(result.x[k]) for k in positive}
-            return True, Schedule(amounts=amounts)
+    def max_scale(self, demands: np.ndarray, powers: np.ndarray, max_newton: int) -> _Repair:
+        """Largest ``v`` with ``A_ge x >= demands * v**powers``, capacity and ``x >= 0``.
 
-        headroom = self.b_le - self.A_le @ result.x  # per (t, i) row
-        saturated = headroom <= 1e-9 * np.maximum(1.0, self.b_le)
-        unmet = result.ge_violations > FEASIBILITY_RTOL * np.maximum(1.0, b_ge)
-        violations = []
-        for k in np.flatnonzero(unmet):
-            _, s, tau = self.cohorts[k]
-            violations.append(
-                f"type '{self.labels[k]}' submitted in interval {s} misses deadline {tau} "
-                f"by {result.ge_violations[k]:.6g} jobs"
+        The program is convex for powers of at least one.  A log barrier
+        over ``(x, v)`` is minimized by the price solver's damped Newton
+        while its weight ``t`` grows 20-fold per round, until the gap bound
+        ``N / (t v)`` is at most :data:`REPAIR_RTOL`.  Zero-demand cohorts
+        and their columns drop out.
+        """
+        live = demands > 0.0
+        if not live.any():
+            nothing = np.zeros_like(demands)
+            return _Repair(self, np.zeros(0), np.zeros(0, int), nothing, nothing, math.inf, True)
+        d, p = demands[live], powers[live]
+        columns = np.flatnonzero(live[self.cohort_of])
+        cohort = (np.cumsum(live) - 1)[self.cohort_of[columns]]
+        A = self.A_le[:, columns]
+        req, rows = self.requirements[columns], self.capacity_rows[columns]
+        # the Hessian's x-block couples two columns only when they share a
+        # cohort or a processing interval; it is filled at those pairs alone
+        ci, cj = np.nonzero(cohort[:, None] == cohort[None, :])
+        ti, tj = np.nonzero(rows[:, :1] == rows[:, :1].T)
+        L, V = d.size, columns.size
+        n_barrier = 2 * L + self.b_le.size + V  # -log v is weighted by L
+
+        def parts(z):
+            x, v = z[:-1], z[-1]
+            return x, v, np.bincount(cohort, weights=x, minlength=L) - d * v**p, self.b_le - A @ x
+
+        def value(z, t):
+            x, v, g, s = parts(z)
+            if v <= 0.0 or np.any(x <= 0.0) or np.any(g <= 0.0) or np.any(s <= 0.0):
+                return math.inf
+            logs = np.sum(np.log(g)) + np.sum(np.log(s)) + np.sum(np.log(x))
+            return -t * v - float(logs) - L * math.log(v)
+
+        def derivatives(z, t):
+            x, v, g, s = parts(z)
+            q = d * p * v ** (p - 1.0)  # slope of d * v**p
+            w = 1.0 / g**2
+            grad = np.empty(V + 1)
+            grad[:-1] = A.T @ (1.0 / s) - (1.0 / g)[cohort] - 1.0 / x
+            grad[-1] = -t + np.sum(q / g) - L / v
+            hess = np.zeros((V + 1, V + 1))
+            hess[ti, tj] = np.sum(req[ti] * req[tj] / s[rows[ti]] ** 2, axis=1)
+            hess[ci, cj] += w[cohort[ci]]
+            hess[np.arange(V), np.arange(V)] += 1.0 / x**2
+            hess[:-1, -1] = hess[-1, :-1] = -(q * w)[cohort]
+            curvature = d * p * (p - 1.0) * v ** (p - 2.0) / g
+            hess[-1, -1] = np.sum(q**2 * w) + np.sum(curvature) + L / v**2
+            return grad, hess
+
+        # start strictly inside: every row at most half used, every cohort
+        # delivering twice what it asks at scale v
+        x = np.full(V, 0.5 * np.min(self.b_le / np.maximum(A.sum(axis=1), 1e-300)))
+        delivered = np.bincount(cohort, weights=x, minlength=L)
+        z = np.append(x, np.min((delivered / (2.0 * d)) ** (1.0 / p)))
+        t, converged = 1.0, False
+        for _ in range(REPAIR_ROUNDS):
+            z, _, ok = _newton_minimize(
+                lambda z: value(z, t), lambda z: derivatives(z, t), z, max_newton
             )
-            for row in np.flatnonzero(saturated[(s - 1) * self.m : tau * self.m]):
-                t, i = divmod(int(row), self.m)
-                violations.append(
-                    f"interval {s + t}: resource '{self.names[i]}' capacity saturated"
-                )
-        return False, InfeasibilityCertificate(violations=tuple(dict.fromkeys(violations)))
+            if not ok:
+                break
+            if n_barrier / (t * z[-1]) <= REPAIR_RTOL:
+                converged = True
+                break
+            t *= 20.0
+        x, v = z[:-1], float(z[-1])
+        delivered = np.bincount(self.cohort_of[columns], weights=x, minlength=demands.size)
+        return _Repair(self, x, columns, delivered, demands * v**powers, v, converged)
+
+
+@dataclass(frozen=True, eq=False)
+class _Repair:
+    """The final iterate of :meth:`_ScheduleSystem.max_scale`.
+
+    ``x`` holds the amounts of the live ``columns``.  The iterate is
+    strictly feasible: every live cohort gets ``delivered`` more than it
+    ``asked`` at scale ``v``, and every capacity row keeps some slack.
+    """
+
+    system: _ScheduleSystem
+    x: np.ndarray
+    columns: np.ndarray
+    delivered: np.ndarray
+    asked: np.ndarray
+    v: float
+    converged: bool
+
+    def schedule(self, targets: np.ndarray) -> Schedule:
+        """The iterate with each cohort's columns cut to at most its target."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = np.minimum(1.0, targets / self.delivered)
+        amounts = self.x * cut[self.system.cohort_of[self.columns]]
+        variables = self.system.variables
+        return Schedule(
+            amounts={variables[k]: float(a) for k, a in zip(self.columns, amounts) if a > 0.0}
+        )
+
+    def certificate(self, demands: np.ndarray) -> InfeasibilityCertificate:
+        """Cohort and capacity rows with slack within 1e-6 of their right-hand side."""
+        system = self.system
+        tight = (demands > 0.0) & (self.delivered - self.asked <= 1e-6 * self.asked)
+        violations = [
+            f"type '{system.labels[c]}' submitted in interval {system.cohorts[c][1]} misses "
+            f"deadline {system.cohorts[c][2]} by {demands[c] - self.delivered[c]:.6g} jobs"
+            for c in np.flatnonzero(tight)
+        ]
+        usage = system.A_le[:, self.columns] @ self.x
+        for row in np.flatnonzero(system.b_le - usage <= 1e-6 * system.b_le):
+            t, i = divmod(int(row), system.m)
+            violations.append(f"interval {t + 1}: resource '{system.names[i]}' capacity saturated")
+        return InfeasibilityCertificate(violations=tuple(violations))
 
 
 def schedule_feasible(
@@ -292,9 +401,13 @@ def schedule_feasible(
     """Can the demanded job masses be scheduled within deadlines and capacity?
 
     ``demands[s-1][j]`` is the total demanded mass (jobs times population)
-    of type ``j`` submitted in interval ``s``.  Returns a witness schedule
-    when feasible; otherwise a certificate naming the unmet cohorts and the
-    saturated interval capacities inside their windows.  The LP's matrices
+    of type ``j`` submitted in interval ``s``.  This is the repair program
+    with every power one, a max-concurrent flow: the demands are schedulable
+    when the largest common fraction ``v`` of them that fits is at least
+    ``1 / (1 + REPAIR_RTOL)``.  Returns a witness schedule that delivers
+    each cohort its demand (short by at most that tolerance) inside every
+    capacity; otherwise a certificate naming the cohorts and interval
+    capacities that bind at the largest fraction.  The constraint matrices
     are built on the first call for ``spec`` and reused after.
     """
     demands = [np.asarray(row, dtype=float).reshape(-1) for row in demands]
@@ -305,7 +418,12 @@ def schedule_feasible(
             raise ValueError(f"interval {s}: expected {interval.instance.n} demands")
         if np.any(demands[s - 1] < 0.0):
             raise ValueError(f"interval {s}: demands must be nonnegative")
-    return spec._schedule_lp.solve(demands)
+    masses = np.concatenate(demands)
+    system = spec._schedule_system
+    repair = system.max_scale(masses, np.ones_like(masses), SolverConfig().max_newton_iterations)
+    if repair.v * (1.0 + REPAIR_RTOL) >= 1.0:
+        return True, repair.schedule(masses)
+    return False, repair.certificate(masses)
 
 
 def _window_relaxed(interval: IntervalMarket, s: int) -> Instance:
@@ -343,32 +461,23 @@ def _stage_one_key(market: Instance, nu: float) -> tuple:
     )
 
 
-def _stage_demands(spec: IntervalDemandSpec, plans, keys, scale: float):
-    """Total demanded masses per cohort at uniformly scaled prices.
-
-    Intervals with equal stage-one keys share one plan and one demand curve,
-    so each key is evaluated once.
-    """
-    masses: dict[tuple, np.ndarray] = {}
-    rows = []
-    for key, interval, plan in zip(keys, spec.intervals, plans):
-        if key not in masses:
-            outcome = evaluate(interval.instance, ResourcePlan(prices=plan.prices * scale))
-            masses[key] = interval.instance.counts * outcome.demands
-        rows.append(masses[key])
-    return rows
-
-
 def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -> HorizonResult:
     """Optimize per-interval prices, then certify or repair schedulability.
 
     Stage one solves each interval's price problem independently (revenue
     and fairness depend only on prices), once per distinct stage-one market.
-    Stage two checks the resulting demands against the deadline/capacity
-    system; if unschedulable, all prices are scaled up by the smallest
-    uniform factor (bisection to 1e-6 relative) that restores feasibility,
-    re-verifying after each probe.
+    Stage two finds the smallest uniform price scale ``sigma = 1 / v`` at
+    which the demands fit: at scaled prices cohort ``c`` demands
+    ``d_c * v**p_c`` with ``p_c = -e_c >= 1``, so ``max v`` subject to the
+    schedule constraints is one convex program, solved by a log barrier to
+    a gap of :data:`REPAIR_RTOL`.  Prices are scaled by ``sigma`` only when
+    it exceeds ``1 + REPAIR_RTOL``; otherwise they stay as solved.  The
+    witness is the barrier's final, strictly feasible iterate, each cohort
+    cut to its demand at the posted prices.  ``converged`` is false when a
+    stage-one solve or the repair did not close its gap; the posted prices
+    are then still schedulable, at a scale that may exceed the minimum.
     """
+    config = config or SolverConfig()
     spec = program.spec
     markets = [_window_relaxed(interval, s) for s, interval in enumerate(spec.intervals, start=1)]
     keys = [_stage_one_key(mk, interval.nu) for mk, interval in zip(markets, spec.intervals)]
@@ -379,30 +488,29 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
     interval_results = tuple(solved[key] for key in keys)
     plans = tuple(result.plan for result in interval_results)
 
-    feasible, witness = schedule_feasible(_stage_demands(spec, plans, keys, 1.0), spec)
-    scale = 1.0
-    if not feasible:
-        lo, hi = 1.0, 2.0
-        for _ in range(60):
-            ok, candidate = schedule_feasible(_stage_demands(spec, plans, keys, hi), spec)
-            if ok:
-                witness = candidate
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise InfeasibleError(f"no finite price scaling yields a schedule: {witness}")
-        while hi - lo > 1e-6 * hi:
-            mid = 0.5 * (lo + hi)
-            ok, candidate = schedule_feasible(_stage_demands(spec, plans, keys, mid), spec)
-            if ok:
-                hi, witness = mid, candidate
-            else:
-                lo = mid
-        scale = hi
+    # demand does not depend on capacity, so the window-relaxed solves'
+    # outcomes hold each interval's demand
+    masses = np.concatenate(
+        [
+            interval.instance.counts * result.outcome.demands
+            for interval, result in zip(spec.intervals, interval_results)
+        ]
+    )
+    system = spec._schedule_system
+    repair = system.max_scale(masses, system.powers, config.max_newton_iterations)
+    scale = 1.0 / repair.v
+    if scale > 1.0 + REPAIR_RTOL:
         plans = tuple(ResourcePlan(prices=p.prices * scale) for p in plans)
+    else:
+        scale = 1.0
 
     outcomes = [evaluate(interval.instance, plan) for interval, plan in zip(spec.intervals, plans)]
+    masses = np.concatenate(
+        [
+            interval.instance.counts * outcome.demands
+            for interval, outcome in zip(spec.intervals, outcomes)
+        ]
+    )
     total_revenue = float(sum(outcome.revenue for outcome in outcomes))
     total_fairness = float(
         sum(
@@ -413,11 +521,11 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
     return HorizonResult(
         plans=plans,
         interval_results=interval_results,
-        schedule=witness,
+        schedule=repair.schedule(masses),
         total_revenue=total_revenue,
         total_fairness=total_fairness,
         price_scale=scale,
-        feasible=True,
+        converged=repair.converged and all(r.converged for r in interval_results),
     )
 
 

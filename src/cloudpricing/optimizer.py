@@ -422,22 +422,27 @@ BACKTRACK_FACTOR = 0.5
 
 
 def _newton_minimize(
-    problem, spec, t_scaled, prices, ceiling, config
+    value_of, derivatives_of, point, max_iterations
 ) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton with backtracking on the barrier function."""
-    value = _barrier_value(problem, spec, t_scaled, prices, ceiling)
-    for iteration in range(config.max_newton_iterations):
-        grad, hess = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+    """Damped Newton with backtracking on a barrier function.
+
+    ``value_of(point)`` is the barrier's value (``inf`` outside its domain)
+    and ``derivatives_of(point)`` its gradient and Hessian.  Returns the
+    final point, the steps taken and whether the Newton decrement settled.
+    """
+    value = value_of(point)
+    for iteration in range(max_iterations):
+        grad, hess = derivatives_of(point)
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            return prices, iteration, False
+            return point, iteration, False
         direction = _newton_direction(hess, grad)
         decrement = -float(grad @ direction)
         if decrement / 2.0 <= 1e-10 * (1.0 + abs(value)):
-            return prices, iteration, True
+            return point, iteration, True
         slope = float(grad @ direction)
 
         def sufficient(step: float) -> tuple[bool, float]:
-            trial = _barrier_value(problem, spec, t_scaled, prices + step * direction, ceiling)
+            trial = value_of(point + step * direction)
             return trial <= value + ARMIJO_SLOPE * step * slope, trial
 
         step = 1.0
@@ -462,13 +467,13 @@ def _newton_minimize(
                 # no acceptable step: on a flat plateau a small predicted
                 # decrease that cannot be realized is convergence, not failure
                 settled = decrement / 2.0 <= 1e-6 * (1.0 + abs(value))
-                return prices, iteration, settled
-        prices = prices + step * direction
+                return point, iteration, settled
+        point = point + step * direction
         value = cand_value
-    grad, hess = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+    grad, hess = derivatives_of(point)
     direction = _newton_direction(hess, grad)
     converged = bool(-float(grad @ direction) / 2.0 <= 1e-6 * (1.0 + abs(value)))
-    return prices, config.max_newton_iterations, converged
+    return point, max_iterations, converged
 
 
 def barrier_optimize(
@@ -611,8 +616,12 @@ def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
     # by many orders along the path, and a start-scaled tolerance would call
     # the solve done long before the capacity wall.
     for _ in range(300):
+        t_scaled = t / scale
         prices, inner_iters, ok = _newton_minimize(
-            problem, spec, t / scale, prices, ceiling, config
+            lambda p: _barrier_value(problem, spec, t_scaled, p, ceiling),
+            lambda p: _barrier_derivatives(problem, spec, t_scaled, p, ceiling),
+            prices,
+            config.max_newton_iterations,
         )
         total_iterations += inner_iters
         value = problem.objective_value(spec, problem.costs(prices))

@@ -510,14 +510,20 @@ class TestSchedule:
         ]
         assert deferred and deferred[0]["amount"] > 0.0
 
-    def test_pivot_budget_exhausted_exit_two(self, spec_path, capsys, monkeypatch):
-        import cloudpricing.simplex
+    def test_repair_round_budget_exhausted_exit_two(
+        self, tmp_path, spec_path, capsys, monkeypatch
+    ):
+        import cloudpricing.deadline
 
-        monkeypatch.setattr(cloudpricing.simplex, "PIVOTS_PER_LINE", 0)
-        assert main(["schedule", "--spec", str(spec_path), "--beta", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: phase-one simplex used its budget of 0 pivots")
-        assert "Traceback" not in err
+        monkeypatch.setattr(cloudpricing.deadline, "REPAIR_ROUNDS", 1)
+        out = tmp_path / "schedule.json"
+        code = main(["schedule", "--spec", str(spec_path), "--beta", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "did not close its gap" in captured.out
+        assert "Traceback" not in captured.err
+        # the unconverged repair still posts a schedulable, if higher, price scale
+        assert json.loads(out.read_text())["price_scale"] > 1.0
 
     def test_bad_spec_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"

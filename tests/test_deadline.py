@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cloudpricing.deadline as deadline
 from cloudpricing import (
@@ -19,7 +21,7 @@ from cloudpricing.deadline import (
     solve_horizon,
 )
 from cloudpricing.fairness import beta_fairness
-from cloudpricing.pricing import evaluate, instance_to_json
+from cloudpricing.pricing import ResourcePlan, evaluate, instance_to_json
 from cloudpricing.synth import google_cluster_instance
 
 
@@ -85,6 +87,22 @@ class TestBuildProgram:
         with pytest.warns(UserWarning, match="concavity"):
             build_program(spec, beta=2.0)
 
+    def test_one_concavity_warning_per_horizon(self):
+        nus = (5.0, 0.0, 5.0, 5.0)
+        spec = IntervalDemandSpec(
+            horizon=len(nus),
+            intervals=tuple(
+                IntervalMarket(single_type_market(4.0), deadlines=(s,), nu=nu)
+                for s, nu in enumerate(nus, start=1)
+            ),
+        )
+        with pytest.warns(UserWarning) as caught:
+            build_program(spec, beta=2.0)
+        assert len(caught) == 1
+        text = str(caught[0].message)
+        assert all(f"interval {s}:" in text for s in (1, 3, 4))
+        assert "interval 2:" not in text
+
 
 class TestScheduleFeasible:
     def two_interval_spec(self, capacity: float, deadlines=(2, 2)):
@@ -127,6 +145,108 @@ class TestScheduleFeasible:
         for t in (1, 2):
             usage = schedule.interval_usage(spec, t)
             assert np.all(usage <= 1.5 + 1e-9)
+
+    def test_simple_feasible(self):
+        ok, schedule = schedule_feasible([[1.0], [0.0]], self.two_interval_spec(2.0))
+        assert ok
+        assert schedule.delivered(0, 1) == pytest.approx(1.0, rel=1e-12)
+
+    def test_simple_infeasible(self):
+        # three jobs, one slot, no deferral
+        ok, certificate = schedule_feasible(
+            [[3.0], [0.0]], self.two_interval_spec(1.0, deadlines=(1, 2))
+        )
+        assert not ok
+        assert "misses deadline 1 by 2 jobs" in str(certificate)
+
+    def test_witness_satisfies_all_constraints(self):
+        market = Instance(
+            resources=ResourceModel(names=("cpu", "mem"), capacities=(3.0, 1.0)),
+            user_types=(
+                UserType("a", 1, (1.0, 0.0), UtilityParams(alpha=0.5, c=1.0)),
+                UserType("b", 1, (1.0, 1.0), UtilityParams(alpha=0.5, c=1.0)),
+            ),
+            discount=1.0,
+        )
+        spec = IntervalDemandSpec(
+            horizon=2,
+            intervals=(
+                IntervalMarket(market, deadlines=(2, 2)),
+                IntervalMarket(market, deadlines=(2, 2)),
+            ),
+        )
+        demands = [[2.0, 1.5], [1.0, 0.5]]
+        ok, schedule = schedule_feasible(demands, spec)
+        assert ok
+        assert_valid_witness(spec, demands, schedule)
+
+    def test_witness_never_negative(self):
+        ok, schedule = schedule_feasible([[2.5], [0.5]], self.two_interval_spec(1.5))
+        assert ok
+        assert all(amount > 0.0 for amount in schedule.amounts.values())
+
+    def test_rejects_negative_demand(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            schedule_feasible([[-1.0], [0.0]], self.two_interval_spec(1.0))
+
+
+def assert_valid_witness(spec: IntervalDemandSpec, demands, schedule) -> None:
+    """Each cohort delivered inside its window, short by at most 1e-9 of its
+    demand; every capacity respected; every amount positive."""
+    for (j, s, t), amount in schedule.amounts.items():
+        assert amount > 0.0
+        assert s <= t <= spec.intervals[s - 1].deadlines[j]
+    for s, row in enumerate(demands, start=1):
+        for j, demand in enumerate(row):
+            assert schedule.delivered(j, s) >= demand * (1.0 - 1e-9) - 1e-12
+    for t, interval in enumerate(spec.intervals, start=1):
+        capacities = interval.instance.resources.capacities
+        assert np.all(schedule.interval_usage(spec, t) <= capacities * (1.0 + 1e-12))
+
+
+@st.composite
+def small_horizons(draw):
+    """Horizons of up to four intervals with half-integer requirements,
+    capacities and demands, some demands zero.  Every vertex of such a
+    schedule system is a rational with a small denominator, so an
+    unschedulable load misses by far more than either solver's tolerance."""
+    T, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    halves = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    intervals, demands = [], []
+    for s in range(1, T + 1):
+        n = draw(st.integers(1, 3))
+        user_types = []
+        for j in range(n):
+            requirements = draw(st.lists(halves, min_size=m, max_size=m))
+            if not any(requirements):
+                requirements[draw(st.integers(0, m - 1))] = 1.0
+            user_types.append(
+                UserType(f"t{j}", 1, tuple(requirements), UtilityParams(alpha=0.5, c=1.0))
+            )
+        capacity = st.sampled_from([0.5, 1.0, 2.5, 4.0, 7.0])
+        capacities = draw(st.lists(capacity, min_size=m, max_size=m))
+        market = Instance(
+            resources=ResourceModel(names=tuple(f"r{i}" for i in range(m)), capacities=capacities),
+            user_types=tuple(user_types),
+            discount=1.0,
+        )
+        deadlines = tuple(draw(st.integers(s, T)) for _ in range(n))
+        intervals.append(IntervalMarket(market, deadlines=deadlines))
+        demand = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0])
+        demands.append(draw(st.lists(demand, min_size=n, max_size=n)))
+    return IntervalDemandSpec(horizon=T, intervals=tuple(intervals)), demands
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_horizons())
+def test_verdict_and_witness_match_highs(case):
+    spec, demands = case
+    ok, answer = schedule_feasible(demands, spec)
+    assert ok == highs_schedulable(spec, demands)
+    if ok:
+        assert_valid_witness(spec, demands, answer)
+    else:
+        assert "misses deadline" in str(answer)
 
 
 @pytest.mark.filterwarnings("ignore:interval .*concavity:UserWarning")
@@ -274,23 +394,53 @@ def highs_schedulable(spec: IntervalDemandSpec, masses) -> bool:
     return result.status == 0
 
 
-class TestDeliveryTolerance:
-    """Every cohort gets its demand at the posted prices, small cohorts too."""
+def posted_masses(spec: IntervalDemandSpec, plans, factor: float = 1.0) -> list:
+    """Demanded job masses per interval at the plans' prices times ``factor``."""
+    return [
+        interval.instance.counts
+        * evaluate(interval.instance, ResourcePlan(prices=plan.prices * factor)).demands
+        for interval, plan in zip(spec.intervals, plans)
+    ]
 
-    @pytest.mark.parametrize("T, slack", [(16, 3), (4, 1)])
-    def test_reference_market_cohorts_fully_delivered(self, T, slack):
-        spec = slack_horizon(T, slack)
+
+@st.composite
+def reference_horizons(draw):
+    """Up to four reference-market intervals with drawn memory and deadlines."""
+    T = draw(st.integers(1, 4))
+    intervals = []
+    for s in range(1, T + 1):
+        market = google_cluster_instance(memory_capacity=draw(st.sampled_from([4.5, 6.0, 7.5])))
+        deadlines = tuple(draw(st.integers(s, T)) for _ in range(market.n))
+        intervals.append(IntervalMarket(market, deadlines=deadlines, nu=0.0))
+    return IntervalDemandSpec(horizon=T, intervals=tuple(intervals))
+
+
+class TestDeliveryTolerance:
+    """Every cohort gets its demand at the posted prices, small cohorts too,
+    and the repaired price scale is the smallest that HiGHS can schedule."""
+
+    def check_minimal(self, spec: IntervalDemandSpec):
         result = solve_horizon(build_program(spec, beta=2.0))
-        assert result.price_scale > 1.0
-        masses = [
-            interval.instance.counts * evaluate(interval.instance, plan).demands
-            for interval, plan in zip(spec.intervals, result.plans)
-        ]
+        assert result.converged
+        masses = posted_masses(spec, result.plans)
         for s, row in enumerate(masses, start=1):
             for j, mass in enumerate(row):
                 delivered = result.schedule.delivered(j, s)
                 assert delivered >= mass * (1.0 - 1e-6), (s, j, delivered, mass)
         assert highs_schedulable(spec, masses)
+        if result.price_scale > 1.0:
+            assert not highs_schedulable(spec, posted_masses(spec, result.plans, 1.0 - 1e-4))
+        return result
+
+    @pytest.mark.parametrize("T, slack", [(16, 3), (4, 1), (32, 3)])
+    def test_reference_market_cohorts_fully_delivered(self, T, slack):
+        result = self.check_minimal(slack_horizon(T, slack))
+        assert result.price_scale > 1.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(reference_horizons())
+    def test_repair_minimal_on_random_horizons(self, spec):
+        self.check_minimal(spec)
 
 
 def relabeled(market: Instance, suffix: str) -> Instance:
@@ -375,7 +525,7 @@ class TestStageOneSharing:
         assert shared.price_scale == separate.price_scale
         assert shared.total_revenue == separate.total_revenue
         assert shared.total_fairness == separate.total_fairness
-        assert shared.feasible == separate.feasible
+        assert shared.converged == separate.converged
         assert shared.schedule.amounts == separate.schedule.amounts
         for a, b in zip(shared.plans, separate.plans):
             np.testing.assert_array_equal(a.prices, b.prices)
