@@ -189,6 +189,58 @@ class TestScheduleFeasible:
         with pytest.raises(ValueError, match="nonnegative"):
             schedule_feasible([[-1.0], [0.0]], self.two_interval_spec(1.0))
 
+    def test_zero_demand_trivially_feasible(self):
+        # a zero-demand cohort beside a loaded one drops out of the witness
+        market = Instance(
+            resources=ResourceModel(names=("r",), capacities=(1.0,)),
+            user_types=(
+                UserType("a", 1, (1.0,), UtilityParams(alpha=0.5, c=1.0)),
+                UserType("b", 1, (2.0,), UtilityParams(alpha=0.5, c=1.0)),
+            ),
+            discount=1.0,
+        )
+        spec = IntervalDemandSpec(horizon=1, intervals=(IntervalMarket(market, deadlines=(1, 1)),))
+        ok, schedule = schedule_feasible([[0.5, 0.0]], spec)
+        assert ok
+        assert set(schedule.amounts) == {(0, 1, 1)}
+        assert schedule.delivered(1, 1) == 0.0
+
+    def test_matches_scipy_on_random_systems(self, rng):
+        for _ in range(60):
+            spec, demands = random_horizon(rng)
+            ok, answer = schedule_feasible(demands, spec)
+            assert ok == highs_schedulable(spec, demands)
+            if ok:
+                assert_valid_witness(spec, demands, answer)
+            else:
+                assert "misses deadline" in str(answer)
+
+
+def random_horizon(rng: np.random.Generator):
+    """Up to three intervals of one or two resources and up to three types,
+    with uniform requirements, capacities, demands and deadlines."""
+    T, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    intervals, demands = [], []
+    for s in range(1, T + 1):
+        n = int(rng.integers(1, 4))
+        market = Instance(
+            resources=ResourceModel(
+                names=tuple(f"r{i}" for i in range(m)),
+                capacities=tuple(rng.uniform(0.5, 4.0, size=m)),
+            ),
+            user_types=tuple(
+                UserType(
+                    f"t{j}", 1, tuple(rng.uniform(0.1, 2.0, size=m)), UtilityParams(alpha=0.5, c=1.0)
+                )
+                for j in range(n)
+            ),
+            discount=1.0,
+        )
+        deadlines = tuple(int(rng.integers(s, T + 1)) for _ in range(n))
+        intervals.append(IntervalMarket(market, deadlines=deadlines))
+        demands.append(list(rng.uniform(0.0, 1.0, size=n)))
+    return IntervalDemandSpec(horizon=T, intervals=tuple(intervals)), demands
+
 
 def assert_valid_witness(spec: IntervalDemandSpec, demands, schedule) -> None:
     """Each cohort delivered inside its window, short by at most 1e-9 of its
