@@ -46,7 +46,6 @@ from .optimizer import (
     InfeasibleError,
     ObjectiveSpec,
     SolveResult,
-    SolverConfig,
     barrier_optimize,
     bundled_price_bisection,
     concavity_weight_bound,

@@ -22,7 +22,8 @@ from .optimizer import (
     InfeasibleError,
     ObjectiveSpec,
     SolveResult,
-    SolverConfig,
+    _check_plan_kind,
+    _check_tolerance,
     barrier_optimize,
 )
 from .pricing import (
@@ -97,9 +98,8 @@ def _cmd_optimize(args) -> int:
     if args.gamma is not None:
         instance = replace(instance, discount=args.gamma)
     spec = ObjectiveSpec(nu=args.nu, beta=args.beta)
-    config = SolverConfig(tolerance=args.tol)
     bundle = np.array(_floats(args.bundle)) if args.bundle else None
-    result = barrier_optimize(instance, args.plan, spec, config, bundle=bundle)
+    result = barrier_optimize(instance, args.plan, spec, args.tol, bundle=bundle)
     payload = _result_payload(instance, result, args.beta)
 
     print(f"plan: {args.plan}")
@@ -185,14 +185,15 @@ def _sweep_target(instance: Instance, parameter: str, population: int):
     )
 
 
-def _sweep_point(args, base: Instance, market_at, value: float, nu: float, plan_kind: str) -> str:
-    beta, tol = args.beta, args.tol
+def _sweep_point(
+    args, base: Instance, market_at, value: float, spec: ObjectiveSpec, plan_kind: str
+) -> str:
+    beta, nu = spec.beta, spec.nu
     gamma = base.discount
     try:
         instance = market_at(value)
         gamma = instance.discount
-        spec = ObjectiveSpec(nu=nu, beta=beta)
-        result = barrier_optimize(instance, plan_kind, spec, SolverConfig(tolerance=tol))
+        result = barrier_optimize(instance, plan_kind, spec, args.tol)
         outcome = result.outcome
         counts = instance.counts
         fairness = beta_fairness(outcome.net_utilities, beta, weights=counts)
@@ -234,8 +235,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("start must be below stop")
     market_at = _sweep_target(instance, args.param, args.population)
     values = np.linspace(args.start, args.stop, args.steps)
-    nus = _floats(args.nu)
+    _check_tolerance(args.tol)
+    specs = [ObjectiveSpec(nu=nu, beta=args.beta) for nu in _floats(args.nu)]
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]
+    for plan_kind in plans:
+        _check_plan_kind(plan_kind)
 
     if args.workers is not None:
         print("warning: --workers is deprecated and ignored; sweeps run sequentially",
@@ -244,9 +248,9 @@ def _cmd_sweep(args) -> int:
     # point (say a discount below what a type's elasticity allows) becomes
     # a converged=False row instead of aborting the sweep
     rows = [
-        _sweep_point(args, instance, market_at, float(value), nu, plan_kind)
+        _sweep_point(args, instance, market_at, float(value), spec, plan_kind)
         for value in values
-        for nu in nus
+        for spec in specs
         for plan_kind in plans
     ]
 
@@ -325,7 +329,7 @@ def _cmd_verify(args) -> int:
 def _cmd_schedule(args) -> int:
     spec = load_horizon_spec(args.spec)
     program = build_program(spec, beta=args.beta)
-    result = solve_horizon(program, SolverConfig(tolerance=args.tol))
+    result = solve_horizon(program, args.tol)
     print(f"horizon: {spec.horizon} intervals; price scale {result.price_scale:.6g}")
     for s, (interval, plan) in enumerate(zip(spec.intervals, result.plans), start=1):
         prices = " ".join(f"{p:.6g}" for p in plan.prices)

@@ -17,11 +17,11 @@ the convex program
     max v  s.t.  A_ge x >= d * v**p,  A_le x <= b_le,  x >= 0
 
 (cohort rows ``A_ge``, interval capacity rows ``A_le``).  One log barrier,
-minimized by the price solver's damped Newton, solves it to a relative gap
-of ``REPAIR_RTOL`` (1e-9); the same program with every ``p_c = 1`` is a
-max-concurrent flow and answers :func:`schedule_feasible`.  Barrier
-iterates are strictly feasible, so the final one is a schedule that
-respects every capacity exactly.
+followed along its central path by the price solver's own barrier loop and
+damped Newton, solves it to a relative gap of ``REPAIR_RTOL`` (1e-9); the
+same program with every ``p_c = 1`` is a max-concurrent flow and answers
+:func:`schedule_feasible`.  Barrier iterates are strictly feasible, so the
+final one is a schedule that respects every capacity exactly.
 
 Work is shared where the numbers repeat.  Intervals whose stage-one markets
 agree in every number that drives the price solve (capacities after window
@@ -44,8 +44,7 @@ from .fairness import beta_fairness
 from .optimizer import (
     ObjectiveSpec,
     SolveResult,
-    SolverConfig,
-    _newton_minimize,
+    _barrier_path,
     barrier_optimize,
     concavity_weight_bound,
 )
@@ -149,16 +148,6 @@ class HorizonProgram:
         return tuple(
             ObjectiveSpec(nu=interval.nu, beta=self.beta) for interval in self.spec.intervals
         )
-
-    def total_objective(self, outcomes) -> float:
-        """Weighted objective of per-interval outcomes (prices already chosen)."""
-        total = 0.0
-        for interval, outcome in zip(self.spec.intervals, outcomes):
-            fairness = beta_fairness(
-                outcome.net_utilities, self.beta, weights=interval.instance.counts
-            )
-            total += interval.nu * outcome.revenue + fairness
-        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,14 +268,14 @@ class _ScheduleSystem:
             [-interval.instance.utility_kernel().e for interval in spec.intervals]
         )
 
-    def max_scale(self, demands: np.ndarray, powers: np.ndarray, max_newton: int) -> _Repair:
+    def max_scale(self, demands: np.ndarray, powers: np.ndarray) -> _Repair:
         """Largest ``v`` with ``A_ge x >= demands * v**powers``, capacity and ``x >= 0``.
 
-        The program is convex for powers of at least one.  A log barrier
-        over ``(x, v)`` is minimized by the price solver's damped Newton
-        while its weight ``t`` grows 20-fold per round, until the gap bound
-        ``N / (t v)`` is at most :data:`REPAIR_RTOL`.  Zero-demand cohorts
-        and their columns drop out.
+        The program is convex for powers of at least one.  The price
+        solver's central-path loop follows a log barrier over ``(x, v)``
+        from weight ``t = 1`` for at most :data:`REPAIR_ROUNDS` rounds, until
+        the gap bound ``N / (t v)`` is at most :data:`REPAIR_RTOL`.
+        Zero-demand cohorts and their columns drop out.
         """
         live = demands > 0.0
         if not live.any():
@@ -336,20 +325,13 @@ class _ScheduleSystem:
         x = np.full(V, 0.5 * np.min(self.b_le / np.maximum(A.sum(axis=1), 1e-300)))
         delivered = np.bincount(cohort, weights=x, minlength=L)
         z = np.append(x, np.min((delivered / (2.0 * d)) ** (1.0 / p)))
-        t, converged = 1.0, False
-        for _ in range(REPAIR_ROUNDS):
-            z, _, ok = _newton_minimize(
-                lambda z: value(z, t), lambda z: derivatives(z, t), z, max_newton
-            )
-            if not ok:
-                break
-            if n_barrier / (t * z[-1]) <= REPAIR_RTOL:
-                converged = True
-                break
-            t *= 20.0
+        z, _, _, message = _barrier_path(
+            value, derivatives, z, 1.0, lambda z, t: n_barrier / (t * z[-1]),
+            REPAIR_RTOL, REPAIR_ROUNDS,
+        )
         x, v = z[:-1], float(z[-1])
         delivered = np.bincount(self.cohort_of[columns], weights=x, minlength=demands.size)
-        return _Repair(self, x, columns, delivered, demands * v**powers, v, converged)
+        return _Repair(self, x, columns, delivered, demands * v**powers, v, not message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +402,7 @@ def schedule_feasible(
             raise ValueError(f"interval {s}: demands must be nonnegative")
     masses = np.concatenate(demands)
     system = spec._schedule_system
-    repair = system.max_scale(masses, np.ones_like(masses), SolverConfig().max_newton_iterations)
+    repair = system.max_scale(masses, np.ones_like(masses))
     if repair.v * (1.0 + REPAIR_RTOL) >= 1.0:
         return True, repair.schedule(masses)
     return False, repair.certificate(masses)
@@ -461,30 +443,29 @@ def _stage_one_key(market: Instance, nu: float) -> tuple:
     )
 
 
-def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -> HorizonResult:
+def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonResult:
     """Optimize per-interval prices, then certify or repair schedulability.
 
     Stage one solves each interval's price problem independently (revenue
-    and fairness depend only on prices), once per distinct stage-one market.
-    Stage two finds the smallest uniform price scale ``sigma = 1 / v`` at
-    which the demands fit: at scaled prices cohort ``c`` demands
-    ``d_c * v**p_c`` with ``p_c = -e_c >= 1``, so ``max v`` subject to the
-    schedule constraints is one convex program, solved by a log barrier to
-    a gap of :data:`REPAIR_RTOL`.  Prices are scaled by ``sigma`` only when
+    and fairness depend only on prices) to ``tolerance``, once per distinct
+    stage-one market.  Stage two finds the smallest uniform price scale
+    ``sigma = 1 / v`` at which the demands fit: at scaled prices cohort
+    ``c`` demands ``d_c * v**p_c`` with ``p_c = -e_c >= 1``, so ``max v``
+    subject to the schedule constraints is one convex program, solved by a
+    log barrier to a gap of :data:`REPAIR_RTOL`.  Prices are scaled by ``sigma`` only when
     it exceeds ``1 + REPAIR_RTOL``; otherwise they stay as solved.  The
     witness is the barrier's final, strictly feasible iterate, each cohort
     cut to its demand at the posted prices.  ``converged`` is false when a
     stage-one solve or the repair did not close its gap; the posted prices
     are then still schedulable, at a scale that may exceed the minimum.
     """
-    config = config or SolverConfig()
     spec = program.spec
     markets = [_window_relaxed(interval, s) for s, interval in enumerate(spec.intervals, start=1)]
     keys = [_stage_one_key(mk, interval.nu) for mk, interval in zip(markets, spec.intervals)]
     solved: dict[tuple, SolveResult] = {}
     for key, market, obj_spec in zip(keys, markets, program.interval_objectives()):
         if key not in solved:
-            solved[key] = barrier_optimize(market, "resource", obj_spec, config)
+            solved[key] = barrier_optimize(market, "resource", obj_spec, tolerance)
     interval_results = tuple(solved[key] for key in keys)
     plans = tuple(result.plan for result in interval_results)
 
@@ -497,7 +478,7 @@ def solve_horizon(program: HorizonProgram, config: SolverConfig | None = None) -
         ]
     )
     system = spec._schedule_system
-    repair = system.max_scale(masses, system.powers, config.max_newton_iterations)
+    repair = system.max_scale(masses, system.powers)
     scale = 1.0 / repair.v
     if scale > 1.0 + REPAIR_RTOL:
         plans = tuple(ResourcePlan(prices=p.prices * scale) for p in plans)

@@ -12,11 +12,13 @@ The solver is a log-barrier interior-point method: minimize
              - sum_k log(cap_k - p_k)
 
 by damped Newton (the price box keeps every centering problem bounded and
-never binds at an optimum), then increase ``t`` geometrically until the
-barrier gap falls below tolerance relative to the objective's magnitude at
-the current iterate.  Fairness exponents make objective values span many
-orders of magnitude along the path, so both the initial weight and the
-stopping test adapt to the local scale.
+never binds at an optimum), then increase ``t`` by ``BARRIER_GROWTH`` per
+round until the barrier gap falls below ``tolerance`` relative to the
+objective's magnitude at the current iterate.  Fairness exponents make
+objective values span many orders of magnitude along the path, so both the
+initial weight and the stopping test adapt to the local scale.  The same
+central-path loop, with the same damped Newton, solves the deadline
+module's schedule repair.
 
 A brute-force grid search over the same objective is provided as an
 independent verification oracle, along with the closed-form concavity
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fairness import beta_fairness, log_sum_exp
+from .fairness import LOG_DOMAIN_BETA, beta_fairness, log_sum_exp
 from .pricing import (
     BundledPlan,
     DifferentiatedPlan,
@@ -47,7 +49,6 @@ from .pricing import (
 __all__ = [
     "InfeasibleError",
     "ObjectiveSpec",
-    "SolverConfig",
     "SolveResult",
     "DiscountPoint",
     "DiscountSearchResult",
@@ -69,43 +70,33 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Revenue weight ``nu >= 0`` and fairness exponent ``beta``."""
+    """Finite revenue weight ``nu >= 0`` and finite fairness exponent ``beta > 0``, not 1."""
 
     nu: float
     beta: float
 
     def __post_init__(self) -> None:
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if not self.beta > 0.0 or self.beta == 1.0:
-            raise ValueError(f"beta must be positive and != 1, got {self.beta}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        if not 0.0 < self.beta < math.inf or self.beta == 1.0:
+            raise ValueError(f"beta must be positive, finite and != 1, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Barrier-method knobs.
+#: factor by which the barrier weight grows between centering rounds
+BARRIER_GROWTH = 20.0
+#: damped Newton steps allowed per centering solve
+NEWTON_STEPS = 80
 
-    ``tolerance`` bounds the final barrier gap, measured relative to the
-    magnitude of the objective at the returned prices (floored at one);
-    ``barrier_update`` is the geometric factor applied to the barrier
-    weight between outer rounds, which starts at ``barrier_init`` times a
-    scale balancing the objective's slope against the barrier's; each
-    centering solve takes at most ``max_newton_iterations`` damped Newton
-    steps on the analytic Hessian.
-    """
 
-    tolerance: float = 1e-6
-    barrier_update: float = 20.0
-    barrier_init: float = 1.0
-    max_newton_iterations: int = 80
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a barrier-gap tolerance that is not finite and positive."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
 
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0 or self.barrier_init <= 0.0:
-            raise ValueError("tolerance and barrier_init must be positive")
-        if not self.barrier_update > 1.0:
-            raise ValueError(f"barrier_update must exceed 1, got {self.barrier_update}")
-        if self.max_newton_iterations < 1:
-            raise ValueError("max_newton_iterations must be at least 1")
+
+def _check_plan_kind(plan_kind: str) -> None:
+    if plan_kind not in PLAN_KINDS:
+        raise ValueError(f"plan kind must be one of {PLAN_KINDS}, got {plan_kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +105,7 @@ class SolveResult:
 
     ``gap`` is the barrier suboptimality estimate (constraint count over
     the barrier weight) relative to the returned objective's magnitude;
-    ``converged`` implies it is at or below the configured tolerance.
+    ``converged`` implies it is at or below the requested tolerance.
     """
 
     plan: PricingPlan
@@ -194,8 +185,7 @@ class _PriceProblem:
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
-        if plan_kind not in PLAN_KINDS:
-            raise ValueError(f"plan kind must be one of {PLAN_KINDS}, got {plan_kind!r}")
+        _check_plan_kind(plan_kind)
         self.instance = instance
         self.kind = plan_kind
         gamma = instance.discount
@@ -480,24 +470,25 @@ def barrier_optimize(
     instance: Instance,
     plan_kind: str,
     spec: ObjectiveSpec,
-    config: SolverConfig | None = None,
+    tolerance: float = 1e-6,
     bundle=None,
 ) -> SolveResult:
     """Maximize ``nu * revenue + F_beta`` over the plan's prices.
 
     Finds a strictly feasible starting price vector internally, then runs
-    the log-barrier method with damped Newton inner solves.  Inner-solver
-    stagnation yields a non-converged result carrying diagnostics rather
-    than an exception; an empty feasible interior raises
-    :class:`InfeasibleError`.
+    the log-barrier method with damped Newton inner solves until the
+    barrier gap, relative to the objective, is at most ``tolerance`` (finite
+    and positive).  Inner-solver stagnation yields a non-converged result
+    carrying diagnostics rather than an exception; an empty feasible
+    interior raises :class:`InfeasibleError`.
     """
-    config = config or SolverConfig()
+    _check_tolerance(tolerance)
     problem = _PriceProblem(instance, plan_kind, bundle)
     start = _feasible_start(problem, spec)
 
     best = None
     for prices in _start_candidates(problem, spec, start):
-        result = _barrier_ladder(problem, spec, config, prices)
+        result = _barrier_ladder(problem, spec, tolerance, prices)
         if best is None or result.beats(best):
             best = result
         if result.converged:  # alternates exist only to escape stalls
@@ -508,7 +499,7 @@ def barrier_optimize(
         # grid around the stall, then polish the best cell with a fresh ladder
         probe = _coarse_probe(problem, spec, best.prices)
         if probe is not None:
-            result = _barrier_ladder(problem, spec, config, probe)
+            result = _barrier_ladder(problem, spec, tolerance, probe)
             if result.beats(best):
                 best = result
 
@@ -580,7 +571,33 @@ class _LadderResult:
         return (self.converged, self.value) > (other.converged, other.value)
 
 
-def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
+def _barrier_path(value_of, derivatives_of, point, t, gap_of, tolerance, rounds):
+    """Follow a barrier's central path from weight ``t``.
+
+    Each round centers at the current weight with damped Newton
+    (``value_of(point, t)`` and ``derivatives_of(point, t)`` are the barrier
+    and its gradient and Hessian), then stops once ``gap_of(point, t)`` is at
+    most ``tolerance`` or multiplies ``t`` by :data:`BARRIER_GROWTH`.  Returns
+    the final point, the Newton steps taken, the last gap and a message that
+    is empty exactly when the gap closed.
+    """
+    iterations, gap = 0, math.inf
+    for _ in range(rounds):
+        point, steps, ok = _newton_minimize(
+            lambda p: value_of(p, t), lambda p: derivatives_of(p, t), point, NEWTON_STEPS
+        )
+        iterations += steps
+        gap = gap_of(point, t)
+        if not ok:
+            stalled = f"inner Newton solve stalled at barrier weight t={t:.3g}"
+            return point, iterations, gap, stalled
+        if gap <= tolerance:
+            return point, iterations, gap, ""
+        t *= BARRIER_GROWTH
+    return point, iterations, gap, "barrier weight budget exhausted before the gap closed"
+
+
+def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     """Run the t-ladder from one starting point."""
     # A price box makes every centering problem bounded: without the ceiling,
     # objectives that vanish at high prices (beta < 1) lose to the positivity
@@ -606,44 +623,27 @@ def _barrier_ladder(problem, spec, config, prices) -> _LadderResult:
         )
     barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, prices, ceiling)
     barrier_slope = float(np.linalg.norm(barrier_grad))
-    t = config.barrier_init * max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
-    total_iterations = 0
-    message = ""
-    converged = True
-    gap = math.inf
+    t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
+
     # The gap test is relative to the objective where the iterate currently
     # sits, not where it started: steep fairness exponents shrink |objective|
     # by many orders along the path, and a start-scaled tolerance would call
     # the solve done long before the capacity wall.
-    for _ in range(300):
-        t_scaled = t / scale
-        prices, inner_iters, ok = _newton_minimize(
-            lambda p: _barrier_value(problem, spec, t_scaled, p, ceiling),
-            lambda p: _barrier_derivatives(problem, spec, t_scaled, p, ceiling),
-            prices,
-            config.max_newton_iterations,
-        )
-        total_iterations += inner_iters
-        value = problem.objective_value(spec, problem.costs(prices))
-        gap = (n_constraints / t) * scale / max(1.0, abs(value))
-        if not ok:
-            converged = False
-            message = f"inner Newton solve stalled at barrier weight t={t:.3g}"
-            break
-        if gap <= config.tolerance:
-            break
-        t *= config.barrier_update
-    else:
-        converged = False
-        message = "barrier weight budget exhausted before the gap closed"
+    def gap_of(p, t):
+        value = problem.objective_value(spec, problem.costs(p))
+        return (n_constraints / t) * scale / max(1.0, abs(value))
 
-    value = problem.objective_value(spec, problem.costs(prices))
+    prices, iterations, gap, message = _barrier_path(
+        lambda p, t: _barrier_value(problem, spec, t / scale, p, ceiling),
+        lambda p, t: _barrier_derivatives(problem, spec, t / scale, p, ceiling),
+        prices, t, gap_of, tolerance, 300,
+    )
     return _LadderResult(
         prices=prices,
-        iterations=total_iterations,
-        value=value,
+        iterations=iterations,
+        value=problem.objective_value(spec, problem.costs(prices)),
         gap=gap,
-        converged=converged,
+        converged=not message,
         message=message,
     )
 
@@ -685,7 +685,7 @@ def grid_oracle(
         raise ValueError("empty grid")
 
     beta, nu = spec.beta, spec.nu
-    log_domain = beta >= 10.0
+    log_domain = beta >= LOG_DOMAIN_BETA
     w = problem.w[:, None]
     best_value = -math.inf
     best_flat = -1
@@ -757,21 +757,22 @@ def discount_line_search(
     plan_kind: str,
     spec: ObjectiveSpec,
     gamma_grid: Sequence[float],
-    config: SolverConfig | None = None,
+    tolerance: float = 1e-6,
     bundle=None,
 ) -> DiscountSearchResult:
     """Re-optimize prices per candidate discount and keep the best.
 
-    Each grid point is solved independently; failures are recorded and
-    skipped so the audit trail stays complete.
+    Each grid point is solved independently to ``tolerance``; failures are
+    recorded and skipped so the audit trail stays complete.
     """
     if not len(gamma_grid):
         raise ValueError("gamma_grid must be non-empty")
+    _check_tolerance(tolerance)
     records: list[DiscountPoint] = []
     for gamma in gamma_grid:
         try:
             candidate = replace(instance, discount=float(gamma))
-            result = barrier_optimize(candidate, plan_kind, spec, config, bundle)
+            result = barrier_optimize(candidate, plan_kind, spec, tolerance, bundle)
             records.append(DiscountPoint(gamma=float(gamma), result=result))
         except (ValueError, InfeasibleError) as err:
             records.append(DiscountPoint(gamma=float(gamma), result=None, error=str(err)))

@@ -22,7 +22,6 @@ from .demand import (
 from .fairness import FairnessSpec, beta_fairness, beta_lambda_fairness, pareto_probe
 from .optimizer import (
     ObjectiveSpec,
-    SolverConfig,
     barrier_optimize,
     bundled_price_bisection,
     concavity_weight_bound,
@@ -325,13 +324,12 @@ def _shared_dominant_instance(rng) -> Instance:
 
 def _check_plan_dominance(rng, n_instances: int) -> CheckResult:
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
-    config = SolverConfig(tolerance=1e-9)
     ok = True
     details = []
     for _ in range(n_instances):
         instance = _shared_dominant_instance(rng)
-        res = barrier_optimize(instance, "resource", spec, config)
-        diff = barrier_optimize(instance, "differentiated", spec, config)
+        res = barrier_optimize(instance, "resource", spec, 1e-9)
+        diff = barrier_optimize(instance, "differentiated", spec, 1e-9)
         price = bundled_price_bisection(instance)
         bundled_value = objective(
             instance,
@@ -513,7 +511,7 @@ def _check_oracle_toy(rng) -> CheckResult:
     toy = _single_type_instance()
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
     grid = grid_oracle(toy, "differentiated", spec, [np.arange(0.4, 1.2, 1e-4)])
-    solved = barrier_optimize(toy, "differentiated", spec, SolverConfig(tolerance=1e-9))
+    solved = barrier_optimize(toy, "differentiated", spec, 1e-9)
     gap = abs(solved.objective_value - grid.objective_value) / abs(grid.objective_value)
     price_gap = abs(float(solved.plan.prices[0]) - 0.5)
     return CheckResult(
@@ -541,10 +539,9 @@ def _check_oracle_reference(rng) -> CheckResult:
 
 def _check_bundled_invariance(rng) -> CheckResult:
     instance = google_cluster_instance()
-    config = SolverConfig(tolerance=1e-9)
     prices = [
         float(
-            barrier_optimize(instance, "bundled", ObjectiveSpec(nu=nu, beta=2.0), config)
+            barrier_optimize(instance, "bundled", ObjectiveSpec(nu=nu, beta=2.0), 1e-9)
             .plan.price
         )
         for nu in (0.0, 1.0, 100.0)

@@ -19,7 +19,6 @@ from cloudpricing import (
     ObjectiveSpec,
     ResourceModel,
     ResourcePlan,
-    SolverConfig,
     UserType,
     UtilityParams,
     barrier_optimize,
@@ -54,7 +53,7 @@ from cloudpricing.synth import (
 from cloudpricing.trace import aggregate_and_filter, kmeans, parse_trace, trace_statistics
 from cloudpricing.verify import objective_price_hessian, random_demand_tuples
 
-TIGHT = SolverConfig(tolerance=1e-9)
+TIGHT = 1e-9
 
 
 @contextmanager

@@ -74,6 +74,16 @@ class TestOptimize:
         code = main(["optimize", "--instance", str(bad), "--plan", "resource"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, value", [("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--nu", "nan"),
+                          ("--nu", "inf"), ("--beta", "inf")]
+    )
+    def test_malformed_solver_arguments_exit_one(self, instance_file, capsys, option, value):
+        args = ["optimize", "--instance", instance_file, "--plan", "resource", option, value]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option[2:] in err
+
     def test_bundled_weight_invariance(self, instance_file, tmp_path, capsys):
         prices = []
         for nu in ("0", "100"):
@@ -371,6 +381,32 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--tol", "0"),
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--beta", "1"),
+            ("--beta", "-2"),
+            ("--nu", "-1"),
+            ("--nu", "nan"),
+            ("--plans", "resource,bogus"),
+        ],
+    )
+    def test_malformed_solver_arguments_exit_one(
+        self, instance_file, tmp_path, capsys, option, value
+    ):
+        # a bad solver argument spoils every point, so it must stop the
+        # sweep before any solve rather than fill a CSV with False rows
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "gamma", "--start", "0.8"]
+        args += ["--stop", "1.0", "--steps", "2", option, value, "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_unknown_parameter_exit_one(self, instance_file):
         code = main(
             [
@@ -524,6 +560,13 @@ class TestSchedule:
         assert "Traceback" not in captured.err
         # the unconverged repair still posts a schedulable, if higher, price scale
         assert json.loads(out.read_text())["price_scale"] > 1.0
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_bad_tolerance_exit_one(self, tmp_path, spec_path, capsys, tol):
+        out = tmp_path / "schedule.json"
+        assert main(["schedule", "--spec", str(spec_path), "--tol", tol, "--out", str(out)]) == 1
+        assert "error: tolerance must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spec_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"

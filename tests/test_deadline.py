@@ -319,6 +319,13 @@ class TestSolveHorizon:
         assert result.total_revenue == pytest.approx(2 * single.outcome.revenue, rel=1e-6)
         assert result.total_fairness == pytest.approx(2 * fairness, rel=1e-6)
 
+    @pytest.mark.parametrize("tolerance", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tolerance):
+        market = single_type_market(4.0)
+        spec = IntervalDemandSpec(horizon=1, intervals=(IntervalMarket(market, deadlines=(1,)),))
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            solve_horizon(build_program(spec, beta=2.0), tolerance)
+
     def test_tight_interval_defers_mass(self):
         # both intervals have unit capacity; interval-1 jobs may finish in
         # interval 2, so its relaxed price solve demands more than one unit

@@ -9,7 +9,6 @@ from cloudpricing import (
     ObjectiveSpec,
     ResourceModel,
     ResourcePlan,
-    SolverConfig,
     UserType,
     UtilityParams,
     barrier_optimize,
@@ -21,6 +20,7 @@ from cloudpricing import (
     objective,
     tradeoff_bound_check,
 )
+from cloudpricing import optimizer
 from cloudpricing.fairness import beta_fairness
 from cloudpricing.optimizer import (
     _barrier_derivatives,
@@ -31,7 +31,7 @@ from cloudpricing.optimizer import (
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
 from cloudpricing.verify import central_difference_hessian
 
-TIGHT = SolverConfig(tolerance=1e-9)
+TIGHT = 1e-9
 
 
 class TestObjective:
@@ -57,6 +57,24 @@ class TestObjective:
         plan = DifferentiatedPlan(prices=np.array([0.1]))
         with pytest.raises(ValueError, match="resource 'r'"):
             objective(toy_instance, plan, ObjectiveSpec(1.0, 2.0))
+
+
+class TestObjectiveSpec:
+    @pytest.mark.parametrize(
+        "nu, beta",
+        [
+            (-1.0, 2.0),
+            (float("nan"), 2.0),
+            (float("inf"), 2.0),
+            (1.0, 0.0),
+            (1.0, 1.0),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+        ],
+    )
+    def test_rejects_out_of_range_weights(self, nu, beta):
+        with pytest.raises(ValueError, match="nu must be|beta must be"):
+            ObjectiveSpec(nu, beta)
 
 
 class TestConcavityBound:
@@ -98,9 +116,7 @@ class TestBarrier:
             assert result.outcome.revenue == pytest.approx(2.0, rel=1e-6)
 
     def test_gap_meets_tolerance(self, toy_instance):
-        result = barrier_optimize(
-            toy_instance, "differentiated", ObjectiveSpec(1.0, 2.0), SolverConfig(tolerance=1e-7)
-        )
+        result = barrier_optimize(toy_instance, "differentiated", ObjectiveSpec(1.0, 2.0), 1e-7)
         assert result.converged and result.gap <= 1e-7
 
     def test_outcome_feasible(self, reference_instance):
@@ -136,18 +152,22 @@ class TestBarrier:
         assert result.converged
         assert result.plan.price == pytest.approx(bundled_price_bisection(instance), rel=1e-6)
 
-    def test_stalled_solve_reports_diagnostics(self, reference_instance):
+    def test_stalled_solve_reports_diagnostics(self, reference_instance, monkeypatch):
         # a one-iteration Newton budget cannot reach the central path: the
         # result must come back flagged, with a message, not as an exception
-        result = barrier_optimize(
-            reference_instance,
-            "resource",
-            ObjectiveSpec(1.0, 2.0),
-            SolverConfig(max_newton_iterations=1),
-        )
+        monkeypatch.setattr(optimizer, "NEWTON_STEPS", 1)
+        result = barrier_optimize(reference_instance, "resource", ObjectiveSpec(1.0, 2.0))
         assert not result.converged
         assert result.message
         assert result.outcome.feasible  # iterates never leave the domain
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, toy_instance, reference_instance, tolerance):
+        spec = ObjectiveSpec(1.0, 2.0)
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            barrier_optimize(toy_instance, "differentiated", spec, tolerance)
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            discount_line_search(reference_instance, "resource", spec, [1.0], tolerance)
 
     def test_no_positive_utility_region_is_infeasible(self):
         # log utility: surplus needs price < c/e, but capacity needs price >= 2
@@ -287,7 +307,7 @@ class TestDiscountSearch:
     def test_three_point_argmax(self, reference_instance):
         spec = ObjectiveSpec(1.0, 2.0)
         found = discount_line_search(
-            reference_instance, "differentiated", spec, [0.8, 0.9, 1.0], config=TIGHT
+            reference_instance, "differentiated", spec, [0.8, 0.9, 1.0], tolerance=TIGHT
         )
         assert len(found.records) == 3
         assert all(point.result is not None for point in found.records)
