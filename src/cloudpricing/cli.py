@@ -186,14 +186,18 @@ def _sweep_target(instance: Instance, parameter: str, population: int):
 
 
 def _sweep_point(
-    args, base: Instance, market_at, value: float, spec: ObjectiveSpec, plan_kind: str
+    args, base: Instance, market_at, value: float, spec: ObjectiveSpec, plan_kind: str,
+    warm: dict,
 ) -> str:
+    """One CSV row; ``warm`` maps each plan kind to its last converged prices."""
     beta, nu = spec.beta, spec.nu
     gamma = base.discount
     try:
         instance = market_at(value)
         gamma = instance.discount
-        result = barrier_optimize(instance, plan_kind, spec, args.tol)
+        result = barrier_optimize(instance, plan_kind, spec, args.tol, start=warm.get(plan_kind))
+        if result.converged:
+            warm[plan_kind] = np.array(_plan_prices(result.plan))
         outcome = result.outcome
         counts = instance.counts
         fairness = beta_fairness(outcome.net_utilities, beta, weights=counts)
@@ -238,6 +242,8 @@ def _cmd_sweep(args) -> int:
     _check_tolerance(args.tol)
     specs = [ObjectiveSpec(nu=nu, beta=args.beta) for nu in _floats(args.nu)]
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]
+    if not specs or not plans:
+        raise ValueError("--nu and --plans must each name at least one value")
     for plan_kind in plans:
         _check_plan_kind(plan_kind)
 
@@ -246,9 +252,11 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
     # instance construction happens inside each point so that a bad grid
     # point (say a discount below what a type's elasticity allows) becomes
-    # a converged=False row instead of aborting the sweep
+    # a converged=False row instead of aborting the sweep.  Each row starts
+    # from the previous converged row of its plan, so the order matters.
+    warm: dict = {}
     rows = [
-        _sweep_point(args, instance, market_at, float(value), spec, plan_kind)
+        _sweep_point(args, instance, market_at, float(value), spec, plan_kind, warm)
         for value in values
         for spec in specs
         for plan_kind in plans

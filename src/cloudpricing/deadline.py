@@ -87,11 +87,11 @@ class IntervalMarket:
         object.__setattr__(self, "deadlines", tuple(int(d) for d in self.deadlines))
         if len(self.deadlines) != self.instance.n:
             raise ValueError(
-                f"expected {self.instance.n} deadlines (one per user type), "
+                f"deadlines: expected {self.instance.n} (one per user type), "
                 f"got {len(self.deadlines)}"
             )
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,9 +545,12 @@ def horizon_spec_from_json(obj: dict) -> IntervalDemandSpec:
         nu = raw.get("nu", 0.0)
         if isinstance(nu, bool) or not isinstance(nu, (int, float)):
             raise ValueError(f"{path}.nu: expected a number, got {nu!r}")
-        intervals.append(
-            IntervalMarket(instance=instance, deadlines=tuple(deadlines), nu=float(nu))
-        )
+        try:
+            intervals.append(
+                IntervalMarket(instance=instance, deadlines=tuple(deadlines), nu=float(nu))
+            )
+        except ValueError as err:
+            raise ValueError(f"{path}.{err}") from None
     return IntervalDemandSpec(horizon=horizon, intervals=tuple(intervals))
 
 

@@ -472,6 +472,8 @@ def barrier_optimize(
     spec: ObjectiveSpec,
     tolerance: float = 1e-6,
     bundle=None,
+    *,
+    start=None,
 ) -> SolveResult:
     """Maximize ``nu * revenue + F_beta`` over the plan's prices.
 
@@ -481,10 +483,13 @@ def barrier_optimize(
     and positive).  Inner-solver stagnation yields a non-converged result
     carrying diagnostics rather than an exception; an empty feasible
     interior raises :class:`InfeasibleError`.
+
+    ``start`` (positive prices of this plan, such as a neighbouring
+    market's optimum) is tried first, scaled to 99% of the binding
+    capacity; if its ladder stalls, the solve goes on exactly as without it.
     """
     _check_tolerance(tolerance)
     problem = _PriceProblem(instance, plan_kind, bundle)
-    start = _feasible_start(problem, spec)
 
     best = None
     for prices in _start_candidates(problem, spec, start):
@@ -536,20 +541,29 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
     return np.array([axes[d][coords[d][best]] for d in range(problem.dim)])
 
 
-def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, start: np.ndarray):
-    """The default start plus alternates used only after a stalled ladder.
+def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
+    """The warm start, the default start, and alternates, each tried only after a stall.
 
     Price optimization is certified convex only below the concavity weight
     bound; elsewhere the barrier path can wedge into a poor stationary
-    region, and a second start usually frees it.  Alternates that land
+    region, and a second start usually frees it.  Candidates that land
     outside the domain (a uniform level can overload capacity that the
     balanced start respected, or higher prices can push F_beta out of the
-    float range) are dropped.
+    float range) are dropped.  The default start is computed only when it
+    is needed, so a converged warm ladder skips its bisection.
     """
 
     def usable(prices: np.ndarray) -> bool:
         return _barrier_value(problem, spec, 0.0, prices, math.inf) < math.inf
 
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.shape != (problem.dim,) or not np.all((warm > 0.0) & (warm < math.inf)):
+            raise ValueError(f"start must hold {problem.dim} positive finite prices")
+        warm = problem.level_for_load(0.99, warm) * warm
+        if usable(warm):
+            yield warm
+    start = _feasible_start(problem, spec)
     yield start
     uniform = np.full(problem.dim, float(np.exp(np.mean(np.log(start)))))
     if not np.allclose(uniform, start) and usable(uniform):
@@ -768,6 +782,7 @@ def discount_line_search(
     if not len(gamma_grid):
         raise ValueError("gamma_grid must be non-empty")
     _check_tolerance(tolerance)
+    _check_plan_kind(plan_kind)
     records: list[DiscountPoint] = []
     for gamma in gamma_grid:
         try:

@@ -4,7 +4,8 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from cloudpricing.cli import main
+from cloudpricing.cli import _sweep_target, main
+from cloudpricing.optimizer import ObjectiveSpec, barrier_optimize
 from cloudpricing.pricing import instance_to_json, save_instance
 from cloudpricing.synth import google_cluster_instance, planted_trace
 
@@ -393,6 +394,8 @@ class TestSweep:
             ("--nu", "-1"),
             ("--nu", "nan"),
             ("--plans", "resource,bogus"),
+            ("--nu", ""),
+            ("--plans", ""),
         ],
     )
     def test_malformed_solver_arguments_exit_one(
@@ -406,6 +409,44 @@ class TestSweep:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param, start, stop",
+        [("capacity:mem", 0.5, 7.5), ("mix:type1", 0.1, 0.8), ("gamma", 0.6, 0.99)],
+    )
+    def test_warm_rows_match_cold_solves(self, instance_file, tmp_path, param, start, stop):
+        # each row starts from the previous converged row of its plan; it
+        # must land where a cold solve of the same market does, within --tol
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--instance", instance_file, "--param", param, "--start", str(start)]
+        args += ["--stop", str(stop), "--steps", "3", "--beta", "20", "--out", str(out)]
+        assert main(args) == 0
+        market_at = _sweep_target(google_cluster_instance(), param, 10)
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 3 * 2 * 3
+        for row in rows:
+            value, nu, plan_kind = float(row[0]), float(row[1]), row[3]
+            try:
+                cold = barrier_optimize(market_at(value), plan_kind, ObjectiveSpec(nu, 20.0))
+            except ValueError:
+                assert row[-1] == "False" and row[4] == ""
+                continue
+            assert row[-1] == str(cold.converged)
+            if cold.converged:
+                warm = nu * float(row[4]) + float(row[5])
+                slack = 1e-6 * max(1.0, abs(cold.objective_value))
+                assert warm >= cold.objective_value - slack
+                assert warm <= cold.objective_value + slack
+
+    def test_beta20_three_plan_sweep_is_reproducible(self, instance_file, tmp_path):
+        # warm starts chain every row to the rows before it; reruns must agree
+        args = ["sweep", "--instance", instance_file, "--param", "mix:type1", "--start", "0.1"]
+        args += ["--stop", "0.8", "--steps", "3", "--beta", "20"]
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_parameter_exit_one(self, instance_file):
         code = main(
@@ -567,6 +608,14 @@ class TestSchedule:
         assert main(["schedule", "--spec", str(spec_path), "--tol", tol, "--out", str(out)]) == 1
         assert "error: tolerance must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nan_interval_nu_exit_one_names_the_interval(self, tmp_path, spec_path, capsys):
+        payload = json.loads(spec_path.read_text())
+        payload["intervals"][0]["nu"] = float("nan")
+        spec_path.write_text(json.dumps(payload))
+        assert main(["schedule", "--spec", str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: intervals[0].nu must be finite and nonnegative")
 
     def test_bad_spec_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -79,6 +79,11 @@ class TestBuildProgram:
                 ),
             )
 
+    @pytest.mark.parametrize("nu", [-1.0, float("nan"), float("inf")])
+    def test_rejects_nu_outside_finite_nonnegative(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+            IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu)
+
     def test_warns_above_concavity_certificate(self):
         spec = IntervalDemandSpec(
             horizon=1,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,58 @@ class TestDiscountSearch:
         assert found.gamma == 1.0
         assert found.records[0].error is not None
         assert found.records[0].result is None
+
+
+    def test_bad_plan_kind_raises_once_before_any_solve(self, reference_instance, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(optimizer, "barrier_optimize", no_solve)
+        with pytest.raises(ValueError) as info:
+            discount_line_search(reference_instance, "bogus", ObjectiveSpec(1.0, 2.0), [0.8, 0.9])
+        assert not isinstance(info.value, InfeasibleError)
+        assert str(info.value).count("plan kind must be one of") == 1
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("plan_kind", ["bundled", "resource", "differentiated"])
+    def test_stalled_warm_ladder_gives_the_cold_result(
+        self, reference_instance, monkeypatch, plan_kind
+    ):
+        spec = ObjectiveSpec(1.0, 20.0)
+        cold = barrier_optimize(reference_instance, plan_kind, spec)
+        ladder, calls = optimizer._barrier_ladder, []
+
+        # the warm ladder is the first one run; report it stalled
+        def stall_first(problem, spec, tolerance, prices):
+            calls.append(prices)
+            if len(calls) == 1:
+                return optimizer._LadderResult(prices, 80, -np.inf, np.inf, False, "stalled")
+            return ladder(problem, spec, tolerance, prices)
+
+        monkeypatch.setattr(optimizer, "_barrier_ladder", stall_first)
+        start = np.full(optimizer._PriceProblem(reference_instance, plan_kind).dim, 0.3)
+        warm = barrier_optimize(reference_instance, plan_kind, spec, start=start)
+        assert len(calls) >= 2 and not np.array_equal(calls[0], calls[1])
+        assert type(warm.plan) is type(cold.plan)
+        for obj in ("", "plan", "outcome"):
+            a, b = (getattr(r, obj) if obj else r for r in (warm, cold))
+            for field in fields(a):
+                if field.name not in ("plan", "outcome"):
+                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0], [1.0, np.inf], [[1.0, 1.0]]])
+    def test_rejects_malformed_start(self, reference_instance, start):
+        with pytest.raises(ValueError, match="start must hold 2 positive finite prices"):
+            barrier_optimize(reference_instance, "resource", ObjectiveSpec(1.0, 2.0), start=start)
+
+    def test_warm_start_from_the_optimum_is_pulled_inside(self, reference_instance):
+        spec = ObjectiveSpec(0.0, 20.0)
+        cold = barrier_optimize(reference_instance, "resource", spec)
+        warm = barrier_optimize(reference_instance, "resource", spec, start=cold.plan.prices)
+        assert warm.converged
+        assert warm.iterations < cold.iterations
+        assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
 
 
 class TestTradeoffBounds:
