@@ -22,15 +22,15 @@ from .optimizer import (
     InfeasibleError,
     ObjectiveSpec,
     SolveResult,
-    _check_plan_kind,
     _check_tolerance,
     barrier_optimize,
 )
 from .pricing import (
-    BundledPlan,
+    PLAN_KINDS,
     Instance,
     ResourceModel,
     UserType,
+    _check_plan_kind,
     load_instance,
     save_instance,
 )
@@ -68,18 +68,12 @@ def _fmt_vec(values) -> str:
     return ";".join(repr(float(v)) for v in values)
 
 
-def _plan_prices(plan) -> list[float]:
-    if isinstance(plan, BundledPlan):
-        return [float(plan.price)]
-    return [float(v) for v in plan.prices]
-
-
 def _result_payload(instance: Instance, result: SolveResult, beta: float) -> dict:
     outcome = result.outcome
     fairness = beta_fairness(outcome.net_utilities, beta, weights=instance.counts)
     return {
         "plan": result.plan.kind,
-        "prices": _plan_prices(result.plan),
+        "prices": [float(v) for v in result.plan.prices],
         "objective": result.objective_value,
         "revenue": outcome.revenue,
         "fairness": fairness,
@@ -197,7 +191,7 @@ def _sweep_point(
         gamma = instance.discount
         result = barrier_optimize(instance, plan_kind, spec, args.tol, start=warm.get(plan_kind))
         if result.converged:
-            warm[plan_kind] = np.array(_plan_prices(result.plan))
+            warm[plan_kind] = result.plan.prices
         outcome = result.outcome
         counts = instance.counts
         fairness = beta_fairness(outcome.net_utilities, beta, weights=counts)
@@ -217,7 +211,7 @@ def _sweep_point(
                 repr(eff),
                 _fmt_vec(outcome.net_utilities),
                 _fmt_vec(outcome.leftover),
-                _fmt_vec(_plan_prices(result.plan)),
+                _fmt_vec(result.plan.prices),
                 str(result.converged),
             ]
         )
@@ -377,9 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="optimize one instance's prices")
     opt.add_argument("--instance", required=True)
-    opt.add_argument(
-        "--plan", required=True, choices=["bundled", "resource", "differentiated"]
-    )
+    opt.add_argument("--plan", required=True, choices=PLAN_KINDS)
     opt.add_argument("--nu", type=float, default=1.0)
     opt.add_argument("--beta", type=float, default=2.0)
     opt.add_argument("--gamma", type=float, default=None, help="override instance discount")
@@ -397,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--nu", default="0,1", help="comma list of revenue weights")
     swp.add_argument("--beta", type=float, default=20.0)
     swp.add_argument("--gamma", type=float, default=None)
-    swp.add_argument("--plans", default="bundled,resource,differentiated")
+    swp.add_argument("--plans", default=",".join(PLAN_KINDS))
     swp.add_argument("--population", type=int, default=10, help="total users for mix sweeps")
     swp.add_argument("--tol", type=float, default=1e-6)
     swp.add_argument(

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fairness import beta_fairness
+from .fairness import _check_beta, beta_fairness
 from .optimizer import (
     ObjectiveSpec,
     SolveResult,
@@ -208,8 +208,7 @@ def build_program(spec: IntervalDemandSpec, beta: float) -> HorizonProgram:
     concavity certificate for its market (the joint problem is then not
     certified convex).
     """
-    if not beta > 0.0 or beta == 1.0:
-        raise ValueError(f"beta must be positive and != 1, got {beta}")
+    _check_beta(beta)
     above = []
     for s, interval in enumerate(spec.intervals, start=1):
         if beta > 1.0 and interval.nu > 0.0:

@@ -122,19 +122,14 @@ def optimal_demand(utility: UtilityParams, per_job_cost: float, discount: float)
 
 
 def demand_by_bisection(
-    marginal_utility: Callable[[float], float],
-    per_job_cost: float,
-    discount: float,
-    lo: float = 1e-12,
-    hi: float = 1e12,
-    max_iter: int = 200,
-    rtol: float = 1e-12,
+    marginal_utility: Callable[[float], float], per_job_cost: float, discount: float
 ) -> float:
     """Numeric root of U'(x) = r * gamma * x**(gamma-1) on a geometric bracket.
 
     Independent of the closed form: works from the marginal utility alone, so
-    it also serves non-isoelastic utilities.  The default bracket
-    [1e-12, 1e12] is widened geometrically when the root falls outside it.
+    it also serves non-isoelastic utilities.  The bracket [1e-12, 1e12] is
+    widened geometrically when the root falls outside it, and up to 200
+    halvings of its log-width stop at a relative width of 1e-12.
     Inputs whose net marginal changes sign more than once on the bracket are
     rejected (the root would be ambiguous).
     """
@@ -146,6 +141,7 @@ def demand_by_bisection(
     def residual(x: float) -> float:
         return marginal_utility(x) - per_job_cost * discount * x ** (discount - 1.0)
 
+    lo, hi = 1e-12, 1e12
     for _ in range(64):  # widen until the root is bracketed
         if residual(lo) > 0.0:
             break
@@ -169,13 +165,13 @@ def demand_by_bisection(
             "demand is ambiguous for this utility"
         )
 
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)
         if residual(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * lo:
+        if hi - lo <= 1e-12 * lo:
             break
     return math.sqrt(lo * hi)
 

@@ -52,10 +52,10 @@ class FairnessSpec:
 
 
 def _check_beta(beta: float) -> None:
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if beta == 1.0:
-        raise ValueError("beta = 1 is outside this family (power sum degenerates)")
+        raise ValueError("beta must be != 1: beta = 1 degenerates the power sum")
 
 
 def _check_utilities(utilities, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fairness import LOG_DOMAIN_BETA, beta_fairness, log_sum_exp
+from .fairness import LOG_DOMAIN_BETA, _check_beta, beta_fairness, log_sum_exp
 from .pricing import (
     BundledPlan,
     DifferentiatedPlan,
@@ -42,8 +42,9 @@ from .pricing import (
     Outcome,
     PricingPlan,
     ResourcePlan,
-    bundle_requirement,
+    _check_plan_kind,
     evaluate,
+    plan_structure,
 )
 
 __all__ = [
@@ -61,9 +62,6 @@ __all__ = [
     "tradeoff_bound_check",
 ]
 
-PLAN_KINDS = ("bundled", "resource", "differentiated")
-
-
 class InfeasibleError(ValueError):
     """No strictly feasible price vector exists for the request."""
 
@@ -78,8 +76,7 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.nu < math.inf:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-        if not 0.0 < self.beta < math.inf or self.beta == 1.0:
-            raise ValueError(f"beta must be positive, finite and != 1, got {self.beta}")
+        _check_beta(self.beta)
 
 
 #: factor by which the barrier weight grows between centering rounds
@@ -94,11 +91,6 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
 
 
-def _check_plan_kind(plan_kind: str) -> None:
-    if plan_kind not in PLAN_KINDS:
-        raise ValueError(f"plan kind must be one of {PLAN_KINDS}, got {plan_kind!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Optimized plan with its outcome and convergence diagnostics.
@@ -106,6 +98,9 @@ class SolveResult:
     ``gap`` is the barrier suboptimality estimate (constraint count over
     the barrier weight) relative to the returned objective's magnitude;
     ``converged`` implies it is at or below the requested tolerance.
+    ``iterations`` counts the damped Newton steps of every barrier ladder
+    the solve ran (stalled warm starts, alternates and the basin-escape
+    probe's ladder too), not only of the one whose point is returned.
     """
 
     plan: PricingPlan
@@ -185,35 +180,12 @@ class _PriceProblem:
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
-        _check_plan_kind(plan_kind)
-        self.instance = instance
+        self.D, self.G, self.limits = plan_structure(instance, plan_kind, bundle)
         self.kind = plan_kind
-        gamma = instance.discount
+        self.bundle = instance.resources.capacities if bundle is None else bundle
         self.w = instance.counts
         self.kernel = instance.utility_kernel()
-        R = instance.requirement_matrix
-
-        if plan_kind == "bundled":
-            b = instance.resources.capacities if bundle is None else np.asarray(bundle, float)
-            mu = np.array([bundle_requirement(u, b) for u in instance.user_types])
-            self.bundle = b
-            self.mu = mu
-            self.dim = 1
-            self.D = (mu**gamma)[:, None]
-            self.G = (self.w * mu)[None, :]
-            self.limits = np.array([float(np.min(instance.resources.capacities / b))])
-        elif plan_kind == "resource":
-            self.dim = instance.m
-            self.D = (R**gamma).T
-            self.G = R * self.w[None, :]
-            self.limits = instance.resources.capacities.copy()
-        else:
-            self.dim = instance.n
-            self.D = np.eye(instance.n)
-            self.G = R * self.w[None, :]
-            self.limits = instance.resources.capacities.copy()
-
-        self.n_capacity = self.limits.size
+        self.dim = self.D.shape[1]
 
     def make_plan(self, prices: np.ndarray) -> PricingPlan:
         if self.kind == "bundled":
@@ -491,9 +463,10 @@ def barrier_optimize(
     _check_tolerance(tolerance)
     problem = _PriceProblem(instance, plan_kind, bundle)
 
-    best = None
+    best, iterations = None, 0
     for prices in _start_candidates(problem, spec, start):
         result = _barrier_ladder(problem, spec, tolerance, prices)
+        iterations += result.iterations
         if best is None or result.beats(best):
             best = result
         if result.converged:  # alternates exist only to escape stalls
@@ -505,6 +478,7 @@ def barrier_optimize(
         probe = _coarse_probe(problem, spec, best.prices)
         if probe is not None:
             result = _barrier_ladder(problem, spec, tolerance, probe)
+            iterations += result.iterations
             if result.beats(best):
                 best = result
 
@@ -514,7 +488,7 @@ def barrier_optimize(
         plan=plan,
         outcome=outcome,
         objective_value=best.value,
-        iterations=best.iterations,
+        iterations=iterations,
         converged=best.converged,
         gap=best.gap,
         message=best.message,
@@ -522,23 +496,10 @@ def barrier_optimize(
 
 
 def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarray):
-    """Best strictly feasible point of a rough grid spanning two decades."""
+    """Best point of a two-decade grid, strictly inside capacity since it starts a ladder."""
     axes = [np.geomspace(p / 30.0, p * 30.0, 14) for p in around]
-    shape = tuple(a.size for a in axes)
-    flat = np.arange(int(np.prod(shape)))
-    coords = np.unravel_index(flat, shape)
-    P = np.stack([axes[d][coords[d]] for d in range(problem.dim)])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        R = problem.D @ P
-        usage = problem.G @ problem.kernel.demand(R)
-        valid = np.all(usage < problem.limits[:, None], axis=0) & np.all(R > 0.0, axis=0)
-        values = np.full(flat.size, -math.inf)
-        for idx in np.nonzero(valid)[0]:
-            values[idx] = problem.objective_value(spec, R[:, idx])
-    best = int(np.argmax(values))
-    if not math.isfinite(values[best]):
-        return None
-    return np.array([axes[d][coords[d][best]] for d in range(problem.dim)])
+    prices, value = _grid_search(problem, spec, axes, np.nextafter(problem.limits, 0.0))
+    return prices if math.isfinite(value) else None
 
 
 def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
@@ -618,7 +579,7 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # barrier's log reward and the iterates run away.  The box never binds at
     # an optimum, which always sits on the capacity wall far below it.
     ceiling = np.full(problem.dim, 1e4 * float(np.max(prices)))
-    n_constraints = problem.n_capacity + 2 * problem.dim
+    n_constraints = problem.limits.size + 2 * problem.dim
 
     if not math.isfinite(_barrier_value(problem, spec, 0.0, prices, ceiling)):
         raise InfeasibleError("barrier ladder started outside the feasible domain")
@@ -673,13 +634,42 @@ def bundled_price_bisection(instance: Instance, bundle=None) -> float:
     return float(_PriceProblem(instance, "bundled", bundle).level_for_load(1.0))
 
 
+def _grid_search(problem: _PriceProblem, spec: ObjectiveSpec, axes, limits):
+    """Best point of the price grid spanned by ``axes`` and its objective value.
+
+    A point counts when its prices and per-job costs are positive, its
+    demands fit ``G @ x <= limits`` (the caller's capacity rows, with or
+    without slack) and every net utility is positive and finite.  Ties break
+    to the lowest grid index; the value is ``-inf`` when no point counts.
+    """
+    shape = tuple(a.size for a in axes)
+    coords = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    P = np.stack([axes[d][coords[d]] for d in range(problem.dim)])  # (dim, c)
+    beta, w = spec.beta, problem.w[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        R = problem.D @ P  # (n, c) per-job costs
+        valid = np.all(P > 0.0, axis=0) & np.all(R > 0.0, axis=0)
+        valid &= np.all(problem.G @ problem.kernel.demand(R) <= limits[:, None], axis=0)
+        utils = problem.kernel(R)
+        valid &= np.all(utils > 0.0, axis=0) & np.all(np.isfinite(utils), axis=0)
+        revenue = np.sum(problem.kernel.bill(R, problem.w), axis=0)
+        logs = np.where(utils > 0.0, np.log(utils), 0.0)
+        if beta >= LOG_DOMAIN_BETA:
+            fairness = np.exp(log_sum_exp((1.0 - beta) * logs, w, axis=0)) / (1.0 - beta)
+        else:
+            fairness = np.sum(w * np.exp((1.0 - beta) * logs), axis=0) / (1.0 - beta)
+        values = spec.nu * revenue + fairness
+    values = np.where(valid & np.isfinite(values), values, -math.inf)
+    best = int(np.argmax(values))
+    return P[:, best].copy(), float(values[best])
+
+
 def grid_oracle(
     instance: Instance,
     plan_kind: str,
     spec: ObjectiveSpec,
     axes: Sequence[np.ndarray],
     bundle=None,
-    chunk: int = 1 << 18,
 ) -> SolveResult:
     """Exhaustive objective evaluation over a price grid.
 
@@ -693,56 +683,17 @@ def grid_oracle(
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != problem.dim:
         raise ValueError(f"expected {problem.dim} grid axes for {plan_kind}, got {len(axes)}")
-    shape = tuple(a.size for a in axes)
-    total = int(np.prod(shape))
+    total = int(np.prod([a.size for a in axes]))
     if total == 0:
         raise ValueError("empty grid")
-
-    beta, nu = spec.beta, spec.nu
-    log_domain = beta >= LOG_DOMAIN_BETA
-    w = problem.w[:, None]
-    best_value = -math.inf
-    best_flat = -1
-
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        coords = np.unravel_index(flat, shape)
-        P = np.stack([axes[d][coords[d]] for d in range(problem.dim)])  # (dim, c)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            R = problem.D @ P  # (n, c) per-job costs
-            valid = np.all(P > 0.0, axis=0) & np.all(R > 0.0, axis=0)
-            Rsafe = np.where(R > 0.0, R, 1.0)
-            usage = problem.G @ problem.kernel.demand(Rsafe)
-            valid &= np.all(usage <= problem.limits[:, None] + FEASIBILITY_ATOL, axis=0)
-
-            utils = problem.kernel(Rsafe)
-            valid &= np.all(utils > 0.0, axis=0) & np.all(np.isfinite(utils), axis=0)
-
-            revenue = np.sum(problem.kernel.bill(Rsafe, problem.w), axis=0)
-            logs = np.where(utils > 0.0, np.log(utils), 0.0)
-            if log_domain:
-                fairness = np.exp(log_sum_exp((1.0 - beta) * logs, w, axis=0)) / (1.0 - beta)
-            else:
-                fairness = np.sum(w * np.exp((1.0 - beta) * logs), axis=0) / (1.0 - beta)
-            values = nu * revenue + fairness
-        values = np.where(valid & np.isfinite(values), values, -math.inf)
-        local_best = int(np.argmax(values))
-        if values[local_best] > best_value:
-            best_value = float(values[local_best])
-            best_flat = start + local_best
-
-    if best_flat < 0:
+    prices, value = _grid_search(problem, spec, axes, problem.limits + FEASIBILITY_ATOL)
+    if not math.isfinite(value):
         raise ValueError("no feasible grid point with positive net utilities")
-
-    coords = np.unravel_index(best_flat, shape)
-    prices = np.array([axes[d][coords[d]] for d in range(problem.dim)])
     plan = problem.make_plan(prices)
-    outcome = evaluate(instance, plan)
     return SolveResult(
         plan=plan,
-        outcome=outcome,
-        objective_value=best_value,
+        outcome=evaluate(instance, plan),
+        objective_value=value,
         iterations=total,
         converged=True,
         gap=0.0,
@@ -811,8 +762,7 @@ def tradeoff_bound_check(
     being the bounded quantity minus its bound.  Requires every type to have
     ``alpha < 1`` (log utilities break the closed forms used here).
     """
-    if not beta > 0.0 or beta == 1.0:
-        raise ValueError(f"beta must be positive and != 1, got {beta}")
+    _check_beta(beta)
     alphas = instance.alphas
     if np.any(alphas >= 1.0):
         raise ValueError("tradeoff bounds require alpha < 1 for every user type")

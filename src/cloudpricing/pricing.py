@@ -12,6 +12,11 @@ maps to a per-job cost for every type:
 
 Billing is discounted (``r * x**gamma``) but physical usage is not: capacity
 is consumed at ``R_ij * x_j`` regardless of the discount.
+
+Each kind's price space is defined once, by :func:`plan_structure`: a matrix
+``D`` with per-job costs ``D @ prices`` and capacity rows ``G @ x <= limits``
+on the per-client demands ``x``.  Plan evaluation and the price optimizer
+both read it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ __all__ = [
     "ResourcePlan",
     "DifferentiatedPlan",
     "PricingPlan",
+    "PLAN_KINDS",
+    "plan_structure",
     "Outcome",
     "bundle_requirement",
     "per_job_cost",
@@ -47,6 +54,14 @@ __all__ = [
 
 #: Absolute slack allowed when comparing usage against capacity.
 FEASIBILITY_ATOL = 1e-9
+
+#: The pricing plans, in the order the command line lists them.
+PLAN_KINDS = ("bundled", "resource", "differentiated")
+
+
+def _check_plan_kind(plan_kind: str) -> None:
+    if plan_kind not in PLAN_KINDS:
+        raise ValueError(f"plan kind must be one of {PLAN_KINDS}, got {plan_kind!r}")
 
 
 def _freeze(values, name: str) -> np.ndarray:
@@ -155,8 +170,25 @@ class Instance:
         return NetUtilityKernel([u.utility for u in self.user_types], self.discount)
 
 
+class _Plan:
+    """Per-job costs ``D @ prices`` on the plan kind's :func:`plan_structure`."""
+
+    def per_job_costs(self, instance: Instance) -> np.ndarray:
+        D, _, _ = plan_structure(instance, self.kind, self.bundle)
+        if self.prices.size != D.shape[1]:
+            raise ValueError(f"expected {D.shape[1]} {self.kind} prices, got {self.prices.size}")
+        costs = D @ self.prices
+        if np.any(costs <= 0.0):
+            j = int(np.argmax(costs <= 0.0))
+            raise ValueError(
+                f"user_types[{j}] ({instance.user_types[j].label}) has zero per-job "
+                f"cost under these {self.kind} prices; its demand would be unbounded"
+            )
+        return costs
+
+
 @dataclass(frozen=True, eq=False)
-class BundledPlan:
+class BundledPlan(_Plan):
     """One unit price for a fixed bundle of resources."""
 
     bundle: np.ndarray
@@ -170,17 +202,19 @@ class BundledPlan:
         if not self.price > 0.0:
             raise ValueError(f"bundle price must be positive, got {self.price}")
 
-    def per_job_costs(self, instance: Instance) -> np.ndarray:
-        mu = np.array([bundle_requirement(u, self.bundle) for u in instance.user_types])
-        return mu**instance.discount * self.price
+    @property
+    def prices(self) -> np.ndarray:
+        """The bundle price as a one-entry price vector."""
+        return np.array([float(self.price)])
 
 
 @dataclass(frozen=True, eq=False)
-class ResourcePlan:
+class ResourcePlan(_Plan):
     """An independent unit price per resource."""
 
     prices: np.ndarray
     kind = "resource"
+    bundle = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", _freeze(self.prices, "prices"))
@@ -190,35 +224,19 @@ class ResourcePlan:
                 f"got {self.prices}"
             )
 
-    def per_job_costs(self, instance: Instance) -> np.ndarray:
-        if self.prices.size != instance.m:
-            raise ValueError(f"expected {instance.m} resource prices, got {self.prices.size}")
-        costs = (instance.requirement_matrix**instance.discount).T @ self.prices
-        for j, r in enumerate(costs):
-            if r <= 0.0:
-                raise ValueError(
-                    f"user_types[{j}] ({instance.user_types[j].label}) has zero per-job "
-                    "cost under these resource prices; its demand would be unbounded"
-                )
-        return costs
-
 
 @dataclass(frozen=True, eq=False)
-class DifferentiatedPlan:
+class DifferentiatedPlan(_Plan):
     """An operator-chosen per-type job price."""
 
     prices: np.ndarray
     kind = "differentiated"
+    bundle = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", _freeze(self.prices, "prices"))
         if not np.all(self.prices > 0.0):
             raise ValueError(f"differentiated prices must be positive, got {self.prices}")
-
-    def per_job_costs(self, instance: Instance) -> np.ndarray:
-        if self.prices.size != instance.n:
-            raise ValueError(f"expected {instance.n} per-type prices, got {self.prices.size}")
-        return self.prices.copy()
 
 
 PricingPlan = Union[BundledPlan, ResourcePlan, DifferentiatedPlan]
@@ -229,9 +247,9 @@ class Outcome:
     """Evaluation of a plan on an instance.
 
     ``usage`` and ``leftover`` are physical (undiscounted); ``revenue`` is
-    billed (discounted).  ``feasible`` reflects the plan's own constraint:
-    the capacity vector for resource and differentiated plans, the bundle
-    count for bundled plans.
+    billed (discounted).  ``feasible`` reflects the plan's own capacity
+    rows (:func:`plan_structure`): the capacity vector for resource and
+    differentiated plans, the bundle count for bundled plans.
     """
 
     demands: np.ndarray
@@ -243,14 +261,41 @@ class Outcome:
     feasible: bool
 
 
-def bundle_requirement(user: UserType, bundle) -> float:
-    """Bundles needed per job: max_i requirements[i] / bundle[i]."""
+def _check_bundle(bundle, m: int) -> np.ndarray:
     b = np.asarray(bundle, dtype=float)
     if np.any(b <= 0.0):
         raise ValueError(f"bundle entries must be strictly positive, got {b}")
-    if b.size != user.requirements.size:
-        raise ValueError(f"bundle has {b.size} entries, requirements {user.requirements.size}")
-    return float(np.max(user.requirements / b))
+    if b.shape != (m,):
+        raise ValueError(f"bundle has {b.size} entries, requirements {m}")
+    return b
+
+
+def bundle_requirement(user: UserType, bundle) -> float:
+    """Bundles needed per job: max_i requirements[i] / bundle[i]."""
+    return float(np.max(user.requirements / _check_bundle(bundle, user.requirements.size)))
+
+
+def plan_structure(instance: Instance, kind: str, bundle=None) -> tuple[np.ndarray, ...]:
+    """Cost map and capacity rows of a plan kind's price space.
+
+    Returns ``(D, G, limits)``: the per-job costs of prices ``p`` are
+    ``D @ p``, and per-client demands ``x`` fit iff ``G @ x <= limits``.
+    A bundled plan (``bundle`` defaults to the capacities) has one price,
+    ``mu_j**gamma`` bundles' worth of cost per job and one row, the bundle
+    count; resource and differentiated plans have one price per resource or
+    per type and one row per resource.
+    """
+    _check_plan_kind(kind)
+    R = instance.requirement_matrix
+    counts = instance.counts
+    capacities = instance.resources.capacities
+    if kind == "bundled":
+        b = capacities if bundle is None else _check_bundle(bundle, instance.m)
+        mu = np.max(R / b[:, None], axis=0)
+        limits = np.array([float(np.min(capacities / b))])
+        return (mu**instance.discount)[:, None], (counts * mu)[None, :], limits
+    D = (R**instance.discount).T if kind == "resource" else np.eye(instance.n)
+    return D, R * counts[None, :], capacities.copy()
 
 
 def per_job_cost(instance: Instance, plan: PricingPlan, user_index: int) -> float:
@@ -265,6 +310,7 @@ def evaluate(instance: Instance, plan: PricingPlan) -> Outcome:
     ``feasible`` flag so that searches can step through infeasible points.
     """
     costs = plan.per_job_costs(instance)
+    _, G, limits = plan_structure(instance, plan.kind, plan.bundle)
     kernel = instance.utility_kernel()
     demands = kernel.demand(costs)
     # a log-utility type whose interior optimum loses money opts out: its
@@ -272,24 +318,14 @@ def evaluate(instance: Instance, plan: PricingPlan) -> Outcome:
     utilities = np.maximum(kernel(costs), 0.0)
     counts = instance.counts
     usage = instance.requirement_matrix @ (counts * demands)
-    leftover = instance.resources.capacities - usage
-    revenue = float(np.sum(kernel.bill(costs, counts)))
-
-    if isinstance(plan, BundledPlan):
-        mu = np.array([bundle_requirement(u, plan.bundle) for u in instance.user_types])
-        available = float(np.min(instance.resources.capacities / plan.bundle))
-        feasible = bool(np.sum(counts * mu * demands) <= available + FEASIBILITY_ATOL)
-    else:
-        feasible = bool(np.all(leftover >= -FEASIBILITY_ATOL))
-
     return Outcome(
         demands=demands,
         per_job_costs=costs,
         net_utilities=utilities,
-        revenue=revenue,
+        revenue=float(np.sum(kernel.bill(costs, counts))),
         usage=usage,
-        leftover=leftover,
-        feasible=feasible,
+        leftover=instance.resources.capacities - usage,
+        feasible=bool(np.all(G @ demands <= limits + FEASIBILITY_ATOL)),
     )
 
 

@@ -44,17 +44,16 @@ def random_instance(
     m: int | None = None,
     n: int | None = None,
     gamma: float | None = None,
-    alpha_range: tuple[float, float] = (0.25, 0.75),
-    max_count: int = 5,
 ) -> Instance:
     """A small random market with valid demand parameters.
 
+    Elasticities alpha are uniform on [0.25, 0.75] and populations on 1..5.
     The discount is drawn above ``1 - min(alpha)`` with a safety margin so
     every type's demand is well-defined and strictly price-elastic.
     """
     m = int(rng.integers(1, 4)) if m is None else m
     n = int(rng.integers(1, 4)) if n is None else n
-    alphas = rng.uniform(*alpha_range, size=n)
+    alphas = rng.uniform(0.25, 0.75, size=n)
     if gamma is None:
         floor = 1.0 - float(np.min(alphas))
         gamma = float(rng.uniform(floor + 0.1 * (1.0 - floor), 1.0))
@@ -66,7 +65,7 @@ def random_instance(
     user_types = tuple(
         UserType(
             label=f"type{j + 1}",
-            count=int(rng.integers(1, max_count + 1)),
+            count=int(rng.integers(1, 6)),
             requirements=requirements[j],
             utility=UtilityParams(alpha=float(alphas[j]), c=float(rng.uniform(0.5, 2.0))),
         )
@@ -104,19 +103,12 @@ def sample_feasible_prices(
     return samples
 
 
-def planted_trace(
-    centers,
-    jobs_per_cluster: int,
-    noise: float,
-    seed: int = 0,
-    max_tasks_per_job: int = 4,
-    intervals: int = 3,
-) -> list[TaskRecord]:
+def planted_trace(centers, jobs_per_cluster: int, noise: float, seed: int = 0) -> list[TaskRecord]:
     """Task records whose per-job totals cluster around the given centers.
 
     Each job's total usage is its center plus Gaussian noise, split across a
-    random number of tasks and time intervals so aggregation has real work
-    to do.  Deterministic for a fixed seed.
+    random number of tasks (1 to 4) and time intervals (0 to 2) so
+    aggregation has real work to do.  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=float)
@@ -127,12 +119,12 @@ def planted_trace(
             total = np.maximum(center + rng.normal(0.0, noise, size=center.size), 1e-6)
             job_id = f"job{job_counter:05d}"
             job_counter += 1
-            n_tasks = int(rng.integers(1, max_tasks_per_job + 1))
+            n_tasks = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(n_tasks))
             for task_idx, weight in enumerate(weights):
                 records.append(
                     TaskRecord(
-                        time=int(rng.integers(0, intervals)),
+                        time=int(rng.integers(0, 3)),
                         job_id=job_id,
                         task_id=f"t{task_idx}",
                         cpu=float(total[0] * weight),

@@ -225,26 +225,19 @@ def kmeans(jobs, k: int, restarts: int = 30, seed: int = 0) -> ClusterModel:
     )
 
 
-def build_instance(
-    model: ClusterModel,
-    capacities,
-    gamma: float,
-    alphas,
-    cs,
-    counts,
-    resource_names: tuple[str, ...] = ("cpu", "mem"),
-) -> Instance:
+def build_instance(model: ClusterModel, capacities, gamma: float, alphas, cs, counts) -> Instance:
     """Turn cluster centroids into a market instance.
 
-    Centroid ``j`` becomes the per-job requirement column of type ``j``;
-    utility parameters and populations are supplied per cluster.
+    Centroid ``j`` becomes the per-job requirement column of type ``j`` over
+    the resources ``cpu`` and ``mem``; utility parameters and populations
+    are supplied per cluster.
     """
     alphas, cs, counts = list(alphas), list(cs), list(counts)
     if not (len(alphas) == len(cs) == len(counts) == model.k):
         raise ValueError(
             f"alphas, cs, and counts must each have one entry per cluster ({model.k})"
         )
-    resources = ResourceModel(names=resource_names, capacities=capacities)
+    resources = ResourceModel(names=("cpu", "mem"), capacities=capacities)
     user_types = tuple(
         UserType(
             label=f"type{j + 1}",

@@ -73,15 +73,15 @@ def random_demand_tuples(rng: np.random.Generator, count: int):
     return out
 
 
-def central_difference_hessian(value, point: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def central_difference_hessian(value, point: np.ndarray) -> np.ndarray:
     """Hessian of ``value`` at ``point`` by central differences of its values.
 
-    Each coordinate steps by ``step * max(1, |point_k|)``; the mixed
+    Each coordinate steps by ``1e-4 * max(1, |point_k|)``; the mixed
     partials use the four-point stencil, so the result is symmetric.
     """
     d = point.size
     hess = np.empty((d, d))
-    h = step * np.maximum(1.0, np.abs(point))
+    h = 1e-4 * np.maximum(1.0, np.abs(point))
     for a in range(d):
         for b in range(a, d):
             pp = point.copy()
@@ -99,17 +99,12 @@ def central_difference_hessian(value, point: np.ndarray, step: float = 1e-4) -> 
 
 
 def objective_price_hessian(
-    instance: Instance,
-    plan_kind: str,
-    spec: ObjectiveSpec,
-    prices: np.ndarray,
-    bundle=None,
-    step: float = 1e-4,
+    instance: Instance, plan_kind: str, spec: ObjectiveSpec, prices: np.ndarray, bundle=None
 ) -> np.ndarray:
     """Central-difference Hessian of the weighted objective in price space."""
     problem = _PriceProblem(instance, plan_kind, bundle)
     return central_difference_hessian(
-        lambda p: problem.objective_value(spec, problem.costs(p)), prices, step
+        lambda p: problem.objective_value(spec, problem.costs(p)), prices
     )
 
 

@@ -84,6 +84,15 @@ class TestBuildProgram:
         with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
             IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, float("inf"), float("nan")])
+    def test_rejects_beta_outside_the_family(self, beta):
+        spec = IntervalDemandSpec(
+            horizon=1,
+            intervals=(IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=0.0),),
+        )
+        with pytest.raises(ValueError, match="beta must be"):
+            build_program(spec, beta=beta)
+
     def test_warns_above_concavity_certificate(self):
         spec = IntervalDemandSpec(
             horizon=1,

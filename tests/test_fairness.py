@@ -45,6 +45,14 @@ class TestBetaFairness:
         with pytest.raises(ValueError, match="positive"):
             beta_fairness([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_rejects_non_finite_beta(self, beta):
+        # at beta = inf the power sum would read -inf or -0.0, not a fairness
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            beta_fairness([1.0, 2.0], beta)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            FairnessSpec(beta, 0.0)
+
 
 class TestBetaLambdaFairness:
     def test_two_user_cases(self):

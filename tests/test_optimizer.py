@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -358,11 +359,29 @@ class TestWarmStart:
         warm = barrier_optimize(reference_instance, plan_kind, spec, start=start)
         assert len(calls) >= 2 and not np.array_equal(calls[0], calls[1])
         assert type(warm.plan) is type(cold.plan)
+        # the stalled ladder's 80 steps are counted; nothing else changes
+        assert warm.iterations == cold.iterations + 80
         for obj in ("", "plan", "outcome"):
             a, b = (getattr(r, obj) if obj else r for r in (warm, cold))
             for field in fields(a):
-                if field.name not in ("plan", "outcome"):
+                if field.name not in ("plan", "outcome", "iterations"):
                     assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    def test_iterations_count_every_ladder(self, reference_instance, monkeypatch):
+        # at nu = 1 the ladder from the nu = 0 optimum stalls; the cold one converges
+        cold = barrier_optimize(reference_instance, "differentiated", ObjectiveSpec(0.0, 20.0))
+        ladder, runs = optimizer._barrier_ladder, []
+
+        def record(*args):
+            runs.append(ladder(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(optimizer, "_barrier_ladder", record)
+        warm = barrier_optimize(
+            reference_instance, "differentiated", ObjectiveSpec(1.0, 20.0), start=cold.plan.prices
+        )
+        assert [run.converged for run in runs] == [False, True]
+        assert warm.iterations == sum(run.iterations for run in runs)
 
     @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0], [1.0, np.inf], [[1.0, 1.0]]])
     def test_rejects_malformed_start(self, reference_instance, start):
@@ -376,6 +395,49 @@ class TestWarmStart:
         assert warm.converged
         assert warm.iterations < cold.iterations
         assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
+
+
+class TestCoarseProbe:
+    def test_matches_a_loop_over_the_grid(self, rng):
+        # reference: each grid point strictly inside capacity, valued by the
+        # solver's own objective; the vectorized sums may differ in the last bits
+        spec = ObjectiveSpec(0.0, 20.0)
+        for _ in range(6):
+            instance = random_instance(rng, n=int(rng.integers(1, 5)))
+            for kind in ("bundled", "resource", "differentiated"):
+                problem = _PriceProblem(instance, kind)
+                around = _feasible_start(problem, spec) * rng.uniform(0.5, 2.0, problem.dim)
+                point = optimizer._coarse_probe(problem, spec, around)
+                axes = [np.geomspace(p / 30.0, p * 30.0, 14) for p in around]
+                best = -np.inf
+                for prices in itertools.product(*axes):
+                    costs = problem.costs(np.array(prices))
+                    if np.all(costs > 0.0) and np.all(problem.slacks(costs) > 0.0):
+                        best = max(best, problem.objective_value(spec, costs))
+                if point is None:
+                    assert best == -np.inf
+                    continue
+                costs = problem.costs(point)
+                assert np.all(problem.slacks(costs) > 0.0)
+                assert problem.objective_value(spec, costs) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [72, 79])
+    def test_probe_point_lies_strictly_inside(self, monkeypatch, n):
+        # these resource solves stall, so the probe runs; its point starts a
+        # ladder, which needs every capacity row strictly slack
+        instance = random_instance(np.random.default_rng(n), m=3, n=n)
+        spec = ObjectiveSpec(0.0, 20.0)
+        probe, points = optimizer._coarse_probe, []
+
+        def record(problem, spec, around):
+            points.append((problem, probe(problem, spec, around)))
+            return points[-1][1]
+
+        monkeypatch.setattr(optimizer, "_coarse_probe", record)
+        assert not barrier_optimize(instance, "resource", spec).converged
+        [(problem, point)] = points
+        ceiling = np.full(problem.dim, 1e4 * float(np.max(point)))  # the ladder's box
+        assert np.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling))
 
 
 class TestTradeoffBounds:
@@ -395,6 +457,12 @@ class TestTradeoffBounds:
                 for beta in (0.5, 2.0):
                     holds, _ = tradeoff_bound_check(instance, plan, beta)
                     assert holds
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, float("inf"), float("nan")])
+    def test_rejects_beta_outside_the_family(self, toy_instance, beta):
+        plan = DifferentiatedPlan(prices=np.array([1.0]))
+        with pytest.raises(ValueError, match="beta must be"):
+            tradeoff_bound_check(toy_instance, plan, beta)
 
     def test_requires_feasible_plan(self, toy_instance):
         with pytest.raises(ValueError, match="feasible"):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudpricing import (
     BundledPlan,
@@ -21,6 +23,8 @@ from cloudpricing import (
     per_job_cost,
     save_instance,
 )
+from cloudpricing.optimizer import _PriceProblem
+from cloudpricing.pricing import FEASIBILITY_ATOL, PLAN_KINDS, plan_structure
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
 
 
@@ -68,6 +72,38 @@ class TestPerJobCost:
         plan = ResourcePlan(prices=np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="zero per-job cost"):
             plan.per_job_costs(instance)
+
+
+class TestPlanStructure:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(1, 8),
+        kind=st.sampled_from(PLAN_KINDS),
+        own_bundle=st.booleans(),
+    )
+    def test_evaluate_and_the_optimizer_share_one_price_space(self, seed, m, n, kind, own_bundle):
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng, m=m, n=n)
+        bundle = rng.uniform(0.2, 3.0, size=m) if kind == "bundled" and own_bundle else None
+        problem = _PriceProblem(instance, kind, bundle)
+        # loads from well under to well over capacity
+        prices = problem.level_for_load(1.0) * rng.lognormal(0.0, 1.0, size=problem.dim)
+        plan = problem.make_plan(prices)
+        assert np.array_equal(plan.prices, prices)
+        out = evaluate(instance, plan)
+        assert np.array_equal(out.per_job_costs, problem.costs(prices))
+        _, G, limits = plan_structure(instance, kind, bundle)
+        assert out.feasible == bool(np.all(G @ out.demands <= limits + FEASIBILITY_ATOL))
+
+    def test_rejects_unknown_kind(self, reference_instance):
+        with pytest.raises(ValueError, match="plan kind must be one of"):
+            plan_structure(reference_instance, "bogus")
+
+    def test_rejects_bundle_of_wrong_size(self, reference_instance):
+        with pytest.raises(ValueError, match="bundle has 3 entries"):
+            plan_structure(reference_instance, "bundled", (1.0, 1.0, 1.0))
 
 
 class TestEvaluate:
