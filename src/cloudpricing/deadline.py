@@ -26,7 +26,8 @@ final one is a schedule that respects every capacity exactly.
 Work is shared where the numbers repeat.  Intervals whose stage-one markets
 agree in every number that drives the price solve (capacities after window
 relaxation, requirements, counts, utility parameters, discount and revenue
-weight; labels do not count) share one ``barrier_optimize`` call.  The
+weight; labels do not count) share one ``barrier_optimize`` call, and each
+such call warm-starts from the last converged stage-one optimum.  The
 schedule constraints are assembled once per horizon from numpy index
 arrays and kept on the :class:`IntervalDemandSpec`.
 """
@@ -447,7 +448,9 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
 
     Stage one solves each interval's price problem independently (revenue
     and fairness depend only on prices) to ``tolerance``, once per distinct
-    stage-one market.  Stage two finds the smallest uniform price scale
+    stage-one market, in interval order, each solve starting from the prices
+    of the last converged one (a stalled warm ladder falls back to the cold
+    start).  Stage two finds the smallest uniform price scale
     ``sigma = 1 / v`` at which the demands fit: at scaled prices cohort
     ``c`` demands ``d_c * v**p_c`` with ``p_c = -e_c >= 1``, so ``max v``
     subject to the schedule constraints is one convex program, solved by a
@@ -462,9 +465,12 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
     markets = [_window_relaxed(interval, s) for s, interval in enumerate(spec.intervals, start=1)]
     keys = [_stage_one_key(mk, interval.nu) for mk, interval in zip(markets, spec.intervals)]
     solved: dict[tuple, SolveResult] = {}
+    warm = None
     for key, market, obj_spec in zip(keys, markets, program.interval_objectives()):
         if key not in solved:
-            solved[key] = barrier_optimize(market, "resource", obj_spec, tolerance)
+            solved[key] = barrier_optimize(market, "resource", obj_spec, tolerance, start=warm)
+            if solved[key].converged:
+                warm = solved[key].plan.prices
     interval_results = tuple(solved[key] for key in keys)
     plans = tuple(result.plan for result in interval_results)
 

@@ -361,18 +361,21 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     Cholesky is the definiteness test; when the barrier Hessian is indefinite
     (the weighted objective need not be concave above the certified revenue
     weight) a growing multiple of the identity blends the step toward
-    steepest descent.
+    steepest descent.  The direction comes from one LU solve of the ridged
+    matrix; an exact zero LU pivot on a matrix that passed Cholesky (rounding
+    can leave one) ridges further, like a failed Cholesky.
     """
     dim = hess.shape[0]
     scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
     tau = 0.0
     for _ in range(40):
+        ridged = hess + tau * np.eye(dim)
         try:
-            low = np.linalg.cholesky(hess + tau * np.eye(dim))
+            np.linalg.cholesky(ridged)
+            direction = np.linalg.solve(ridged, -grad)
         except np.linalg.LinAlgError:
             tau = max(1e-10 * scale, tau * 4.0)
             continue
-        direction = np.linalg.solve(low.T, np.linalg.solve(low, -grad))
         if np.all(np.isfinite(direction)) and grad @ direction < 0.0:
             return direction
         tau = max(1e-10 * scale, tau * 4.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudpricing.deadline as deadline
+import cloudpricing.optimizer as optimizer
 from cloudpricing import (
     Instance,
     ObjectiveSpec,
@@ -563,10 +564,12 @@ class TestStageOneSharing:
         )
 
     def solve_counting(self, spec, monkeypatch):
+        # every solve starts cold: with sharing off, an interval's warm start
+        # would come from another predecessor, and the bits would differ
         calls = []
         original = deadline.barrier_optimize
 
-        def counting(*args, **kwargs):
+        def counting(*args, start=None, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
@@ -614,3 +617,77 @@ class TestStageOneSharing:
                 b.gap,
                 b.message,
             )
+
+
+@pytest.mark.filterwarnings("ignore:.*exceeds the concavity certificate")
+class TestWarmStageOne:
+    """Each stage-one solve starts from the last converged optimum of the horizon."""
+
+    def spec(self) -> IntervalDemandSpec:
+        T = 9
+        return IntervalDemandSpec(
+            horizon=T,
+            intervals=tuple(
+                IntervalMarket(
+                    google_cluster_instance(memory_capacity=2.0 + 0.75 * s),
+                    deadlines=(min(T, s + 1),) * 3,
+                    nu=(0.0, 0.5, 1.0)[(s - 1) % 3],
+                )
+                for s in range(1, T + 1)
+            ),
+        )
+
+    def solve(self, spec, monkeypatch, stall_warm=False):
+        """Solve the horizon, recording each start and stalling warm ladders if asked."""
+        starts, stalls, stall_next = [], [], [False]
+        original, ladder = deadline.barrier_optimize, optimizer._barrier_ladder
+
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            # the warm candidate is the first ladder of a warm-started solve
+            stall_next[0] = stall_warm and start is not None
+            return original(*args, start=start, **kwargs)
+
+        def stalling(problem, spec, tolerance, prices):
+            if stall_next[0]:
+                stall_next[0] = False
+                stalls.append(prices)
+                return optimizer._LadderResult(prices, 80, -np.inf, np.inf, False, "stalled")
+            return ladder(problem, spec, tolerance, prices)
+
+        monkeypatch.setattr(deadline, "barrier_optimize", recording)
+        monkeypatch.setattr(optimizer, "_barrier_ladder", stalling)
+        return solve_horizon(build_program(spec, beta=2.0)), starts, stalls
+
+    def cold_solves(self, spec):
+        return [
+            barrier_optimize(
+                deadline._window_relaxed(interval, s), "resource", ObjectiveSpec(interval.nu, 2.0)
+            )
+            for s, interval in enumerate(spec.intervals, start=1)
+        ]
+
+    def test_matches_cold_solves(self, monkeypatch):
+        spec = self.spec()
+        result, starts, _ = self.solve(spec, monkeypatch)
+        assert len(starts) == spec.horizon and starts[0] is None
+        assert all(start is not None for start in starts[1:])
+        for warm, cold in zip(result.interval_results, self.cold_solves(spec)):
+            assert warm.converged == cold.converged
+            assert abs(warm.objective_value - cold.objective_value) <= 1e-6 * abs(
+                cold.objective_value
+            )
+        assert result.converged
+        for t, interval in enumerate(spec.intervals, start=1):
+            capacity = interval.instance.resources.capacities
+            assert np.all(result.schedule.interval_usage(spec, t) <= capacity)
+
+    def test_stalled_warm_ladders_fall_back_to_cold(self, monkeypatch):
+        spec = self.spec()
+        result, starts, stalls = self.solve(spec, monkeypatch, stall_warm=True)
+        assert len(stalls) == spec.horizon - 1
+        for warm, cold in zip(result.interval_results, self.cold_solves(spec)):
+            assert warm.converged and cold.converged
+            assert warm.objective_value == cold.objective_value
+            assert np.array_equal(warm.plan.prices, cold.plan.prices)
+        assert result.converged

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudpricing import (
     BundledPlan,
@@ -29,6 +31,7 @@ from cloudpricing.optimizer import (
     _barrier_derivatives,
     _barrier_value,
     _feasible_start,
+    _newton_direction,
     _PriceProblem,
 )
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
@@ -395,6 +398,66 @@ class TestWarmStart:
         assert warm.converged
         assert warm.iterations < cold.iterations
         assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
+
+
+class TestNewtonDirection:
+    """The ridged Newton direction of the price ladder and the deadline repair."""
+
+    @staticmethod
+    def system(seed, dim, kind, scale):
+        # a random orthogonal basis under eigenvalues of the given kind
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        eigenvalues = {
+            "spd": rng.uniform(1.0, 10.0, dim),
+            "indefinite": rng.uniform(-10.0, 10.0, dim),
+            "deficient": rng.uniform(0.0, 10.0, dim) * (np.arange(dim) % 2),
+            "tiny-pivots": np.geomspace(1e-16, 1.0, dim),
+        }[kind]
+        hess = scale * (basis * eigenvalues) @ basis.T
+        grad = rng.normal(size=dim)
+        return (hess + hess.T) / 2.0, grad / np.linalg.norm(grad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 12),
+        kind=st.sampled_from(["spd", "indefinite", "deficient", "tiny-pivots"]),
+        scale=st.sampled_from([1e-12, 1.0, 1e12]),
+    )
+    def test_always_a_finite_descent_direction(self, seed, dim, kind, scale):
+        hess, grad = self.system(seed, dim, kind, scale)
+        direction = _newton_direction(hess, grad)
+        assert np.all(np.isfinite(direction))
+        assert grad @ direction < 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40))
+    def test_well_conditioned_spd_is_the_newton_step(self, seed, dim):
+        hess, grad = self.system(seed, dim, "spd", 1.0)
+        direction = _newton_direction(hess, grad)
+        exact = np.linalg.solve(hess, -grad)
+        assert np.linalg.norm(direction - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize(
+        "hess", [np.zeros((3, 3)), -np.eye(3), np.ones((3, 3)), np.diag([1.0, 0.0, 1e-300])]
+    )
+    def test_singular_and_negative_systems_do_not_raise(self, hess):
+        grad = np.array([1.0, -2.0, 0.5])
+        direction = _newton_direction(hess, grad)
+        assert np.all(np.isfinite(direction)) and grad @ direction < 0.0
+
+    def test_cholesky_passes_but_lu_pivot_is_zero(self):
+        # rounding leaves Cholesky a pivot of 2e-8 but LU an exact zero
+        hess = np.array(
+            [[6.405920704482398, -4.604265724722594], [-4.604265724722594, 3.3093233341183206]]
+        )
+        grad = np.array([1.0, -2.0])
+        np.linalg.cholesky(hess)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess, grad)
+        direction = _newton_direction(hess, grad)
+        assert np.all(np.isfinite(direction)) and grad @ direction < 0.0
 
 
 class TestCoarseProbe:
