@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -229,10 +230,15 @@ def _cmd_sweep(args) -> int:
         instance = replace(instance, discount=args.gamma)
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ValueError(f"start and stop must be finite, got {args.start} and {args.stop}")
     if args.stop <= args.start:
         raise ValueError("start must be below stop")
     market_at = _sweep_target(instance, args.param, args.population)
-    values = np.linspace(args.start, args.stop, args.steps)
+    try:
+        values = np.linspace(args.start, args.stop, args.steps)
+    except MemoryError:
+        raise ValueError(f"a grid of {args.steps} steps does not fit in memory") from None
     _check_tolerance(args.tol)
     specs = [ObjectiveSpec(nu=nu, beta=args.beta) for nu in _floats(args.nu)]
     plans = [p.strip() for p in args.plans.split(",") if p.strip()]

@@ -264,9 +264,11 @@ class NetUtilityKernel:
 
     # costs are transposed so that the per-type constants run along their
     # last axis, which serves both shapes
-    def __call__(self, costs: np.ndarray) -> np.ndarray:
-        """Net utilities at per-job costs of shape ``(n,)`` or ``(n, c)``."""
-        out = (self.surplus_coef * costs.T**self.q).T
+    def __call__(self, costs: np.ndarray, powered=None) -> np.ndarray:
+        """Net utilities at per-job costs of shape ``(n,)`` or ``(n, c)``;
+        ``powered`` is ``costs.T**q`` if the caller has it (the bill's power)."""
+        powered = costs.T**self.q if powered is None else powered
+        out = (self.surplus_coef * powered).T
         if self.any_log:
             m = self.log_types
             out[m] = (self.c[m] * (self.log_k[m] + self.e[m] * np.log(costs[m]).T) - self.A[m]).T
@@ -285,3 +287,10 @@ class NetUtilityKernel:
         ``"surplus"`` (net utility) at costs of shape ``(n,)``."""
         (a, p), (b, s) = self._slopes[law]
         return a * costs**p, b * costs**s
+
+    def bill_and_surplus_derivatives(self, costs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`derivatives` of the bill, then of the surplus, from their shared powers."""
+        (a, p), (b, s) = self._slopes["bill"]
+        (c, _), (d, _) = self._slopes["surplus"]
+        first, second = costs**p, costs**s
+        return a * first, b * second, c * first, d * second

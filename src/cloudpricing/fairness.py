@@ -88,10 +88,13 @@ def log_sum_exp(a: np.ndarray, weights: np.ndarray, axis=None):
 
 
 def _log_power_sum(u: np.ndarray, w: np.ndarray, beta: float) -> float:
-    """log( sum_j w_j * u_j**(1-beta) ), in the log domain from LOG_DOMAIN_BETA on."""
+    """log( sum_j w_j * u_j**(1-beta) ); from LOG_DOMAIN_BETA on, :func:`log_sum_exp` of vectors."""
     if beta >= LOG_DOMAIN_BETA:
-        return float(log_sum_exp((1.0 - beta) * np.log(u), w))
-    return math.log(float(np.sum(w * u ** (1.0 - beta))))
+        a = (1.0 - beta) * np.log(u)
+        shift = a.max()
+        shift = shift if math.isfinite(shift) else 0.0
+        return float(np.log((w * np.exp(a - shift)).sum()) + shift)
+    return math.log(float((w * u ** (1.0 - beta)).sum()))
 
 
 def beta_fairness(utilities, beta: float, weights=None) -> float:
@@ -102,6 +105,11 @@ def beta_fairness(utilities, beta: float, weights=None) -> float:
     """
     _check_beta(beta)
     u, w = _check_utilities(utilities, weights)
+    return _power_fairness(u, w, beta)
+
+
+def _power_fairness(u: np.ndarray, w: np.ndarray, beta: float) -> float:
+    """:func:`beta_fairness` of inputs it would accept, as float vectors, unchecked."""
     if beta >= LOG_DOMAIN_BETA:
         log_total = _log_power_sum(u, w, beta)
         if log_total > _LOG_FLOAT_MAX:
@@ -111,7 +119,7 @@ def beta_fairness(utilities, beta: float, weights=None) -> float:
             return -math.exp(log_quotient) if log_quotient <= _LOG_FLOAT_MAX else -math.inf
         total = math.exp(log_total)
     else:
-        total = float(np.sum(w * u ** (1.0 - beta)))
+        total = float((w * u ** (1.0 - beta)).sum())
     return total / (1.0 - beta)
 
 

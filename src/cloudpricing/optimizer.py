@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fairness import LOG_DOMAIN_BETA, _check_beta, beta_fairness, log_sum_exp
+from .fairness import LOG_DOMAIN_BETA, _check_beta, _power_fairness, beta_fairness, log_sum_exp
 from .pricing import (
     BundledPlan,
     DifferentiatedPlan,
@@ -176,7 +176,9 @@ class _PriceProblem:
     Per-job costs are linear in the price vector (``r = D @ p``), and every
     per-type quantity is a power law of its cost (``kernel``), so first and
     second derivatives in price space are congruence transforms of per-type
-    scalar derivatives by ``D``.
+    scalar derivatives by ``D``.  The barrier calls these many times per
+    solve: each power of the costs is formed once per point, and the
+    float-error state once per call, by the caller where a method says so.
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
@@ -185,6 +187,7 @@ class _PriceProblem:
         self.bundle = instance.resources.capacities if bundle is None else bundle
         self.w = instance.counts
         self.kernel = instance.utility_kernel()
+        self.bill_weights = self.w * self.kernel.A  # revenue is their dot with r**q
         self.dim = self.D.shape[1]
 
     def make_plan(self, prices: np.ndarray) -> PricingPlan:
@@ -201,10 +204,12 @@ class _PriceProblem:
         return self.limits - self.G @ self.kernel.demand(costs)
 
     def load(self, prices: np.ndarray) -> float:
-        """Largest share of any capacity row that demand at these prices uses."""
-        with np.errstate(over="ignore"):
-            used = self.G @ self.kernel.demand(self.costs(prices))
-        return float(np.max(used / self.limits))
+        """Largest share of any capacity row that demand at these prices uses.
+
+        Demand overflows at tiny prices; callers ignore overflow.
+        """
+        used = self.G @ self.kernel.demand(self.costs(prices))
+        return float((used / self.limits).max())
 
     def level_for_load(self, target: float, base=None):
         """Smallest multiple of ``base`` (uniform prices by default) whose load is ``target``."""
@@ -212,26 +217,31 @@ class _PriceProblem:
         return _bisect_load(lambda scale: self.load(scale * base), target)
 
     def objective_value(self, spec: ObjectiveSpec, costs: np.ndarray) -> float:
+        """``nu * revenue + F_beta`` at the costs, ``-inf`` unless every net
+        utility is positive and finite."""
         with np.errstate(over="ignore", divide="ignore"):
-            revenue = float(np.sum(self.kernel.bill(costs, self.w)))
-            utils = self.kernel(costs)
-            if np.any(utils <= 0.0) or not np.all(np.isfinite(utils)):
-                return -math.inf
-            fairness = beta_fairness(utils, spec.beta, weights=self.w)
-        return spec.nu * revenue + fairness
+            return self._objective(spec, costs)
+
+    def _objective(self, spec: ObjectiveSpec, costs: np.ndarray) -> float:
+        """:meth:`objective_value` for callers that ignore overflow and division by zero."""
+        powered = costs**self.kernel.q
+        utils = self.kernel(costs, powered)
+        if not ((utils > 0.0) & (utils < math.inf)).all():
+            return -math.inf
+        revenue = float((self.bill_weights * powered).sum())
+        return spec.nu * revenue + _power_fairness(utils, self.w, spec.beta)
 
     def objective_cost_derivatives(
         self, spec: ObjectiveSpec, costs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """First and second derivatives of the objective per per-job cost."""
+        """First and second derivatives of the objective per per-job cost
+        (callers ignore overflow and invalid operations)."""
         beta, nu = spec.beta, spec.nu
         utils = self.kernel(costs)
-        rev1, rev2 = self.kernel.derivatives("bill", costs)
-        u1, u2 = self.kernel.derivatives("surplus", costs)
-        with np.errstate(over="ignore"):
-            um_b = utils**-beta
-            fair1 = um_b * u1
-            fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
+        rev1, rev2, u1, u2 = self.kernel.bill_and_surplus_derivatives(costs)
+        um_b = utils**-beta
+        fair1 = um_b * u1
+        fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
         first = self.w * (nu * rev1 + fair1)
         second = self.w * (nu * rev2 + fair2)
         return first, second
@@ -241,31 +251,36 @@ def _bisect_load(load, target):
     """Smallest scales with load(scale) <= target, elementwise.
 
     ``load`` maps an array of scales to as many loads, each strictly
-    decreasing in its own scale.  The bracket widens geometrically from one
-    by up to 4**300 each way, then 96 halvings of its log-width pin each
-    scale to float resolution.
+    decreasing in its own scale and overflowing harmlessly at tiny scales.
+    The bracket widens geometrically from one by up to 4**300 each way,
+    then halvings of its log-width pin each scale to float resolution: they
+    stop once every midpoint rounds to an end of its bracket, since later
+    halvings would leave every bracket as it is, and after 96 at most.
     """
     target = np.asarray(target, dtype=float)
     lo, hi = np.ones_like(target), np.ones_like(target)
-    for _ in range(300):
-        low = ~(load(lo) > target)
-        if not low.any():
-            break
-        lo = np.where(low, lo / 4.0, lo)
-    else:
-        raise InfeasibleError("demand never reaches capacity at any positive price")
-    for _ in range(300):
-        high = ~(load(hi) < target)
-        if not high.any():
-            break
-        hi = np.where(high, hi * 4.0, hi)
-    else:
-        raise InfeasibleError("no price high enough to fit demand inside capacity")
-    for _ in range(96):
-        mid = np.sqrt(lo * hi)
-        above = load(mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    with np.errstate(over="ignore"):
+        for _ in range(300):
+            low = ~(load(lo) > target)
+            if not low.any():
+                break
+            lo = np.where(low, lo / 4.0, lo)
+        else:
+            raise InfeasibleError("demand never reaches capacity at any positive price")
+        for _ in range(300):
+            high = ~(load(hi) < target)
+            if not high.any():
+                break
+            hi = np.where(high, hi * 4.0, hi)
+        else:
+            raise InfeasibleError("no price high enough to fit demand inside capacity")
+        for _ in range(96):
+            mid = np.sqrt(lo * hi)
+            if ((mid == lo) | (mid == hi)).all():
+                break
+            above = load(mid) > target
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
     return hi
 
 
@@ -286,9 +301,8 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
 
     def own_loads(prices: np.ndarray) -> np.ndarray:
         """Each type's largest capacity share at its own price, alone."""
-        with np.errstate(over="ignore"):
-            used = problem.G * problem.kernel.demand(prices)
-        return np.max(used / problem.limits[:, None], axis=0)
+        used = problem.G * problem.kernel.demand(prices)
+        return (used / problem.limits[:, None]).max(axis=0)
 
     fallback = None
     for target in (0.5, 0.8, 0.95, 0.99):
@@ -314,23 +328,24 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
 
 
 def _barrier_value(problem, spec, t_scaled, prices, ceiling) -> float:
-    if np.any(prices <= 0.0) or np.any(prices >= ceiling):
+    """The barrier function at the prices, ``inf`` outside its domain."""
+    if (prices <= 0.0).any() or (prices >= ceiling).any():
         return math.inf
     costs = problem.costs(prices)
-    if np.any(costs <= 0.0):
+    if (costs <= 0.0).any():
         return math.inf
-    slack = problem.slacks(costs)
-    if np.any(slack <= 0.0):
-        return math.inf
-    with np.errstate(over="ignore"):
-        value = problem.objective_value(spec, costs)
+    with np.errstate(over="ignore", divide="ignore"):
+        slack = problem.slacks(costs)
+        if (slack <= 0.0).any():
+            return math.inf
+        value = problem._objective(spec, costs)
     if not math.isfinite(value):
         return math.inf
     return (
         -t_scaled * value
-        - float(np.sum(np.log(slack)))
-        - float(np.sum(np.log(prices)))
-        - float(np.sum(np.log(ceiling - prices)))
+        - float(np.log(slack).sum())
+        - float(np.log(prices).sum())
+        - float(np.log(ceiling - prices).sum())
     )
 
 
@@ -365,20 +380,19 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     matrix; an exact zero LU pivot on a matrix that passed Cholesky (rounding
     can leave one) ridges further, like a failed Cholesky.
     """
-    dim = hess.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
     tau = 0.0
     for _ in range(40):
-        ridged = hess + tau * np.eye(dim)
+        ridged = hess + tau * np.eye(hess.shape[0]) if tau else hess
         try:
             np.linalg.cholesky(ridged)
             direction = np.linalg.solve(ridged, -grad)
+            if np.isfinite(direction).all() and grad @ direction < 0.0:
+                return direction
         except np.linalg.LinAlgError:
-            tau = max(1e-10 * scale, tau * 4.0)
-            continue
-        if np.all(np.isfinite(direction)) and grad @ direction < 0.0:
-            return direction
-        tau = max(1e-10 * scale, tau * 4.0)
+            pass
+        if not tau:
+            floor = 1e-10 * max(1.0, float(np.abs(np.diag(hess)).max()))
+        tau = max(floor, tau * 4.0)
     return -grad  # last resort: steepest descent
 
 
@@ -398,13 +412,13 @@ def _newton_minimize(
     value = value_of(point)
     for iteration in range(max_iterations):
         grad, hess = derivatives_of(point)
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             return point, iteration, False
         direction = _newton_direction(hess, grad)
-        decrement = -float(grad @ direction)
+        slope = float(grad @ direction)
+        decrement = -slope
         if decrement / 2.0 <= 1e-10 * (1.0 + abs(value)):
             return point, iteration, True
-        slope = float(grad @ direction)
 
         def sufficient(step: float) -> tuple[bool, float]:
             trial = value_of(point + step * direction)

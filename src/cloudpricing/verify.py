@@ -594,6 +594,8 @@ def run_checks(
     closed-form demand inside the root-comparison check, which must then
     fail.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     selected = tuple(scopes) if scopes else SCOPES
     unknown = set(selected) - set(SCOPES)
     if unknown:
@@ -613,10 +615,10 @@ def run_checks(
         results.append(_check_lift(rng, 4))
         results.append(_check_plan_dominance(rng, 3))
     if "fairness" in selected:
-        results.append(_check_fairness_symmetry(rng, samples // 2))
+        results.append(_check_fairness_symmetry(rng, max(1, samples // 2)))
         results.append(_check_ranking_equivalence(rng, 60))
         results.append(_check_pareto(rng, samples))
-        results.append(_check_log_domain(rng, samples // 2))
+        results.append(_check_log_domain(rng, max(1, samples // 2)))
     if "bounds" in selected:
         results.append(_check_concavity_certificate(rng, 25))
         results.append(_check_tradeoff_bounds(rng, 5, 10))

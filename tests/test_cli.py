@@ -4,6 +4,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from cloudpricing import verify
 from cloudpricing.cli import _sweep_target, main
 from cloudpricing.optimizer import ObjectiveSpec, barrier_optimize
 from cloudpricing.pricing import instance_to_json, save_instance
@@ -411,6 +412,33 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "start, stop",
+        [("nan", "1.0"), ("0.8", "nan"), ("-inf", "1.0"), ("0.8", "inf"), ("nan", "nan")],
+    )
+    def test_non_finite_grid_ends_exit_one(self, instance_file, tmp_path, capsys, start, stop):
+        # nan fails every comparison, so "stop <= start" alone let these
+        # through to rows of converged=False and numpy warnings on stderr
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "gamma", f"--start={start}"]
+        args += [f"--stop={stop}", "--steps", "2", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    def test_unallocatable_grid_exit_one(self, instance_file, tmp_path, capsys):
+        # 10**15 grid points need petabytes, past any address space, so the
+        # allocation fails at once and nothing is allocated
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "gamma", "--start", "0.8"]
+        args += ["--stop", "1.0", "--steps", str(10**15), "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "param, start, stop",
         [("capacity:mem", 0.5, 7.5), ("mix:type1", 0.1, 0.8), ("gamma", 0.6, 0.99)],
     )
@@ -552,6 +580,30 @@ class TestVerify:
 
     def test_unknown_scope_exit_one(self, capsys):
         assert main(["verify", "--scope", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_exit_one(self, capsys, samples):
+        # with no draws every sampled check passed vacuously
+        assert main(["verify", "--scope", "demand", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "samples" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_one_sample_draws_in_every_check(self, monkeypatch, capsys):
+        # the checks that take half the samples must still draw one
+        drawn = {}
+
+        def recording(name, check):
+            def run(rng, samples):
+                drawn[name] = samples
+                return check(rng, samples)
+
+            return run
+
+        for name in ("_check_fairness_symmetry", "_check_log_domain"):
+            monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+        assert main(["verify", "--scope", "fairness", "--samples", "1"]) == 0
+        assert drawn == {"_check_fairness_symmetry": 1, "_check_log_domain": 1}
 
 
 class TestSchedule:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudpricing.fairness import (
+    LOG_DOMAIN_BETA,
     FairnessSpec,
+    _log_power_sum,
     beta_fairness,
     beta_lambda_fairness,
     envy_free,
@@ -181,6 +183,19 @@ class TestLogDomain:
                 assert fairness == -math.inf  # past the float range, not an error
             else:
                 assert fairness == pytest.approx(float(exact / (1.0 - beta)), rel=1e-9)
+
+    @given(
+        beta=st.floats(LOG_DOMAIN_BETA, 200.0),
+        logs=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=1, max_size=12),
+        weights=st.lists(st.integers(1, 1000), min_size=12, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vector_power_sum_is_log_sum_exp_exactly(self, beta, logs, weights):
+        # the power sum writes log_sum_exp out for one axis; same floats
+        u = np.exp(np.array(logs))
+        w = np.array(weights[: u.size], dtype=float)
+        expected = float(log_sum_exp((1.0 - beta) * np.log(u), w))
+        assert _log_power_sum(u, w, beta) == expected
 
 
 class TestEnvyFree:

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from cloudpricing import (
     tradeoff_bound_check,
 )
 from cloudpricing import optimizer
-from cloudpricing.fairness import beta_fairness
+from cloudpricing.fairness import LOG_DOMAIN_BETA, beta_fairness
 from cloudpricing.optimizer import (
     _barrier_derivatives,
     _barrier_value,
@@ -400,6 +400,221 @@ class TestWarmStart:
         assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
 
 
+# The price oracle as first written, through the kernel's public laws and
+# beta_fairness.  The solver's leaner oracle must return the same floats.
+
+
+def reference_objective_value(problem, spec, costs):
+    revenue = float(np.sum(problem.kernel.bill(costs, problem.w)))
+    utils = problem.kernel(costs)
+    if np.any(utils <= 0.0) or not np.all(np.isfinite(utils)):
+        return -np.inf
+    return spec.nu * revenue + beta_fairness(utils, spec.beta, weights=problem.w)
+
+
+def reference_cost_derivatives(problem, spec, costs):
+    beta, nu = spec.beta, spec.nu
+    utils = problem.kernel(costs)
+    rev1, rev2 = problem.kernel.derivatives("bill", costs)
+    u1, u2 = problem.kernel.derivatives("surplus", costs)
+    um_b = utils**-beta
+    fair1 = um_b * u1
+    fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
+    return problem.w * (nu * rev1 + fair1), problem.w * (nu * rev2 + fair2)
+
+
+def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
+    if np.any(prices <= 0.0) or np.any(prices >= ceiling):
+        return np.inf
+    costs = problem.D @ prices
+    if np.any(costs <= 0.0):
+        return np.inf
+    slack = problem.limits - problem.G @ problem.kernel.demand(costs)
+    if np.any(slack <= 0.0):
+        return np.inf
+    value = reference_objective_value(problem, spec, costs)
+    if not np.isfinite(value):
+        return np.inf
+    return (
+        -t_scaled * value
+        - float(np.sum(np.log(slack)))
+        - float(np.sum(np.log(prices)))
+        - float(np.sum(np.log(ceiling - prices)))
+    )
+
+
+def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
+    D, G = problem.D, problem.G
+    costs = D @ prices
+    x1, x2 = problem.kernel.derivatives("demand", costs)
+    slack = problem.limits - G @ problem.kernel.demand(costs)
+    obj1, obj2 = reference_cost_derivatives(problem, spec, costs)
+    jac = (G * x1[None, :]) @ D
+    grad = -t_scaled * (D.T @ obj1)
+    grad += jac.T @ (1.0 / slack)
+    grad -= 1.0 / prices
+    grad += 1.0 / (ceiling - prices)
+    hess = -t_scaled * (D.T * obj2) @ D
+    hess += (jac.T / slack**2) @ jac
+    curvature = (G * x2[None, :]) / slack[:, None]
+    hess += (D.T * curvature.sum(axis=0)) @ D
+    hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+    return grad, hess
+
+
+def reference_load(problem, prices):
+    used = problem.G @ problem.kernel.demand(problem.D @ prices)
+    return float(np.max(used / problem.limits))
+
+
+def reference_bisect_load(load, target):
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.ones_like(target), np.ones_like(target)
+    for _ in range(300):
+        low = ~(load(lo) > target)
+        if not low.any():
+            break
+        lo = np.where(low, lo / 4.0, lo)
+    for _ in range(300):
+        high = ~(load(hi) < target)
+        if not high.any():
+            break
+        hi = np.where(high, hi * 4.0, hi)
+    for _ in range(96):
+        mid = np.sqrt(lo * hi)
+        above = load(mid) > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return hi
+
+
+def reference_newton_direction(hess, grad):
+    dim = hess.shape[0]
+    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
+    tau = 0.0
+    for _ in range(40):
+        ridged = hess + tau * np.eye(dim)
+        try:
+            np.linalg.cholesky(ridged)
+            direction = np.linalg.solve(ridged, -grad)
+        except np.linalg.LinAlgError:
+            tau = max(1e-10 * scale, tau * 4.0)
+            continue
+        if np.all(np.isfinite(direction)) and grad @ direction < 0.0:
+            return direction
+        tau = max(1e-10 * scale, tau * 4.0)
+    return -grad
+
+
+class TestOracleMatchesReference:
+    """The lean oracle returns exactly the reference formulation's floats."""
+
+    @staticmethod
+    def market(seed, n, m, log_types):
+        """A random market whose types in the bit mask ``log_types`` have log utility.
+
+        A log-utility type's surplus is positive only above e jobs per user,
+        so its jobs are made small enough for that demand to fit.
+        """
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng, m=m, n=n)
+        types = tuple(
+            replace(u, requirements=0.02 * u.requirements, utility=UtilityParams(1.0, u.utility.c))
+            if log_types >> j & 1 else u
+            for j, u in enumerate(instance.user_types)
+        )
+        return replace(instance, user_types=types), rng
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        log_types=st.integers(0, 31),
+        kind=st.sampled_from(["bundled", "resource", "differentiated"]),
+        nu=st.floats(0.0, 10.0),
+        beta=st.one_of(
+            st.floats(0.1, 0.95), st.floats(1.05, 9.99), st.just(LOG_DOMAIN_BETA),
+            st.floats(10.0, 40.0),
+        ),
+        t_scaled=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        spread=st.floats(0.0, 0.5),
+        box=st.booleans(),
+        where=st.sampled_from(
+            ["inside"] * 4 + ["zero price", "negative price", "price above ceiling",
+                              "over capacity"]
+        ),
+    )
+    def test_value_derivatives_objective_and_load(
+        self, seed, n, m, log_types, kind, nu, beta, t_scaled, spread, box, where
+    ):
+        instance, rng = self.market(seed, n, m, log_types)
+        spec = ObjectiveSpec(nu, beta)
+        problem = _PriceProblem(instance, kind)
+        # the solver's start, moved a little; log-utility markets may have no
+        # point with every net utility positive, and their value is inf
+        try:
+            start = _feasible_start(problem, spec)
+        except InfeasibleError:
+            start = np.full(problem.dim, problem.level_for_load(0.5))
+        prices = start * np.exp(rng.uniform(-spread, spread, problem.dim))
+        ceiling = np.full(problem.dim, 1e4 * float(np.max(prices))) if box else np.inf
+        if where == "zero price":
+            prices[rng.integers(problem.dim)] = 0.0
+        elif where == "negative price":
+            prices[rng.integers(problem.dim)] *= -1.0
+        elif where == "price above ceiling":
+            ceiling = np.full(problem.dim, float(np.median(prices)))
+        elif where == "over capacity":
+            prices /= 10.0  # at least ten times the start's demand, which is half a row
+
+        with np.errstate(all="ignore"):  # the reference's own warnings are not under test
+            expected = reference_barrier_value(problem, spec, t_scaled, prices, ceiling)
+        value = _barrier_value(problem, spec, t_scaled, prices, ceiling)
+        assert value == expected or (np.isnan(value) and np.isnan(expected))
+        if where != "inside":
+            assert value == expected == np.inf
+        if expected < np.inf:  # inside the domain; -inf without a price ceiling
+            with np.errstate(all="ignore"):
+                grad, hess = reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+            new_grad, new_hess = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
+            assert np.array_equal(new_grad, grad, equal_nan=True)
+            assert np.array_equal(new_hess, hess, equal_nan=True)
+        if np.all(prices > 0.0):
+            costs = problem.costs(prices)
+            with np.errstate(all="ignore"):
+                objective_value = reference_objective_value(problem, spec, costs)
+                load = reference_load(problem, prices)
+                assert problem.load(prices) == load
+            assert problem.objective_value(spec, costs) == objective_value
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 3),
+        log_types=st.integers(0, 63),
+        kind=st.sampled_from(["bundled", "resource", "differentiated"]),
+    )
+    def test_bisection_stops_where_the_halvings_stop_moving(self, seed, n, m, log_types, kind):
+        instance, rng = self.market(seed, n, m, log_types)
+        problem = _PriceProblem(instance, kind)
+        base = np.exp(rng.uniform(-3.0, 3.0, problem.dim))
+        target = rng.uniform(0.01, 2.0)
+
+        def scaled(scale):
+            return problem.load(scale * base)
+
+        def own_loads(prices):  # the differentiated start's per-type loads
+            return np.max(problem.G * problem.kernel.demand(prices) / problem.limits[:, None], 0)
+
+        targets = rng.uniform(1e-3, 1.0, n)
+        with np.errstate(over="ignore"):
+            for load, goal in ((scaled, target), (own_loads, targets)):
+                expected = reference_bisect_load(load, goal)
+                assert np.array_equal(optimizer._bisect_load(load, goal), expected)
+
+
 class TestNewtonDirection:
     """The ridged Newton direction of the price ladder and the deadline repair."""
 
@@ -430,6 +645,8 @@ class TestNewtonDirection:
         direction = _newton_direction(hess, grad)
         assert np.all(np.isfinite(direction))
         assert grad @ direction < 0.0
+        # no identity is added while the ridge is zero; the floats are the same
+        assert np.array_equal(direction, reference_newton_direction(hess, grad))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40))
