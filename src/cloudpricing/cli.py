@@ -20,7 +20,6 @@ from .charts import render_contours
 from .deadline import build_program, load_horizon_spec, solve_horizon
 from .fairness import FairnessSpec, beta_fairness, equitability_efficiency_split
 from .optimizer import (
-    InfeasibleError,
     ObjectiveSpec,
     SolveResult,
     _check_tolerance,
@@ -89,6 +88,8 @@ def _result_payload(instance: Instance, result: SolveResult, beta: float) -> dic
 
 
 def _cmd_optimize(args) -> int:
+    if args.bundle is not None and args.plan != "bundled":
+        raise ValueError(f"--bundle applies only to --plan bundled, not {args.plan}")
     instance = load_instance(args.instance)
     if args.gamma is not None:
         instance = replace(instance, discount=args.gamma)
@@ -125,8 +126,8 @@ def _mix_counts(n: int, target: int, fraction: float, population: int) -> list[i
     """
     fixed = n >= 3  # the last type's share stays at 10%
     rest = 1.0 - fraction - 0.1 * fixed
-    if rest < -1e-9:
-        raise ValueError(f"mix sweep: fraction {fraction} leaves no room for other types")
+    if fraction < 0.0 or rest < -1e-9:
+        raise ValueError(f"mix sweep: share {fraction} lies outside [0, {1.0 - 0.1 * fixed:g}]")
     others = [i for i in range(n - fixed) if i != target]
     shares = np.zeros(n)
     shares[others] = max(rest, 0.0) / max(len(others), 1)
@@ -216,7 +217,7 @@ def _sweep_point(
                 str(result.converged),
             ]
         )
-    except (ValueError, InfeasibleError):
+    except ValueError:  # InfeasibleError among them
         return ",".join(
             [repr(float(value)), repr(float(nu)), repr(float(gamma)), plan_kind]
             + [""] * 7
@@ -234,6 +235,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"start and stop must be finite, got {args.start} and {args.stop}")
     if args.stop <= args.start:
         raise ValueError("start must be below stop")
+    if args.population < 1:
+        raise ValueError(f"population must be at least 1, got {args.population}")
     market_at = _sweep_target(instance, args.param, args.population)
     try:
         values = np.linspace(args.start, args.stop, args.steps)
@@ -440,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # InfeasibleError and JSONDecodeError among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,10 +46,11 @@ from .optimizer import (
     ObjectiveSpec,
     SolveResult,
     _barrier_path,
+    _check_nu,
     barrier_optimize,
     concavity_weight_bound,
 )
-from .pricing import Instance, ResourceModel, ResourcePlan, evaluate
+from .pricing import Instance, ResourcePlan, _number, evaluate
 
 __all__ = [
     "IntervalMarket",
@@ -91,8 +92,7 @@ class IntervalMarket:
                 f"deadlines: expected {self.instance.n} (one per user type), "
                 f"got {len(self.deadlines)}"
             )
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        _check_nu(self.nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,18 +128,21 @@ class IntervalDemandSpec:
 
 @dataclass(frozen=True, eq=False)
 class HorizonProgram:
-    """The joint program: per-interval price variables plus schedule variables.
+    """A horizon and its fairness exponent: what :func:`solve_horizon` solves.
 
-    ``schedule_vars`` enumerates the schedule unknowns as (type index,
-    submission interval, processing interval) triples, both intervals
-    1-based.  The objective is the weighted per-interval sum
-    ``sum_s nu(s) * revenue_s + fairness_s``; capacity couples intervals only
-    through the schedule variables.
+    The objective is the weighted per-interval sum ``sum_s nu(s) *
+    revenue_s + fairness_s`` (:meth:`interval_objectives`); capacity couples
+    intervals only through the schedule unknowns, ``schedule_vars``, which
+    are (type index, submission interval, processing interval) triples with
+    both intervals 1-based.
     """
 
     spec: IntervalDemandSpec
     beta: float
-    schedule_vars: tuple[tuple[int, int, int], ...]
+
+    @property
+    def schedule_vars(self) -> tuple[tuple[int, int, int], ...]:
+        return self.spec._schedule_system.variables
 
     @property
     def variable_count(self) -> int:
@@ -193,17 +196,8 @@ class HorizonResult:
     converged: bool
 
 
-def _schedule_variables(spec: IntervalDemandSpec) -> tuple[tuple[int, int, int], ...]:
-    variables: list[tuple[int, int, int]] = []
-    for s, interval in enumerate(spec.intervals, start=1):
-        for j, tau in enumerate(interval.deadlines):
-            for t in range(s, tau + 1):
-                variables.append((j, s, t))
-    return tuple(variables)
-
-
 def build_program(spec: IntervalDemandSpec, beta: float) -> HorizonProgram:
-    """Assemble the horizon program and enumerate its schedule variables.
+    """Check ``beta`` and pair it with the horizon.
 
     Warns once, naming every interval whose revenue weight exceeds the
     concavity certificate for its market (the joint problem is then not
@@ -221,52 +215,47 @@ def build_program(spec: IntervalDemandSpec, beta: float) -> HorizonProgram:
                 )
     if above:
         warnings.warn(f"{'; '.join(above)}; joint convexity is not guaranteed", stacklevel=2)
-    return HorizonProgram(spec=spec, beta=beta, schedule_vars=_schedule_variables(spec))
-
-
-def _demand_windows(spec: IntervalDemandSpec):
-    """All (type, submitted) cohorts with their processing windows."""
-    for s, interval in enumerate(spec.intervals, start=1):
-        for j, tau in enumerate(interval.deadlines):
-            yield j, s, tau, interval
+    return HorizonProgram(spec=spec, beta=beta)
 
 
 class _ScheduleSystem:
     """The schedule constraints of one horizon, assembled once.
 
-    Columns are the schedule variables in ``_schedule_variables`` order;
-    cohorts run in (submitted, type) order and capacity rows in (interval,
-    resource) order.  Each column delivers to one cohort and draws its
-    cohort's requirements from the capacity rows of one interval.
+    The one enumeration of a horizon: cohorts ``(type, submitted,
+    deadline)`` run in (submitted, type) order, with their populations in
+    ``counts``; columns, the schedule variables ``(type, submitted,
+    processed)``, run through each cohort's window in cohort order; capacity
+    rows run in (interval, resource) order.  Each column delivers to one
+    cohort and draws its cohort's requirements from the capacity rows of one
+    interval.
     """
 
     def __init__(self, spec: IntervalDemandSpec) -> None:
-        self.variables = _schedule_variables(spec)
-        windows = tuple(_demand_windows(spec))
-        self.cohorts = tuple((j, s, tau) for j, s, tau, _ in windows)
-        self.labels = tuple(interval.instance.user_types[j].label for j, _, _, interval in windows)
-        self.m = m = spec.intervals[0].instance.m
-        self.names = spec.intervals[0].instance.resources.names
+        instances = [interval.instance for interval in spec.intervals]
+        self.cohorts = tuple(
+            (j, s, tau)
+            for s, interval in enumerate(spec.intervals, start=1)
+            for j, tau in enumerate(interval.deadlines)
+        )
+        self.variables = tuple((j, s, t) for j, s, tau in self.cohorts for t in range(s, tau + 1))
+        self.labels = tuple(instances[s - 1].user_types[j].label for j, s, _ in self.cohorts)
+        self.counts = np.concatenate([instance.counts for instance in instances])
+        self.m = m = instances[0].m
+        self.names = instances[0].resources.names
         columns = np.arange(len(self.variables))
         self.cohort_of = np.repeat(
-            np.arange(len(windows)), [tau - s + 1 for _, s, tau, _ in windows]
+            np.arange(len(self.cohorts)), [tau - s + 1 for _, s, tau in self.cohorts]
         )
         processed = np.array([t for _, _, t in self.variables])
         # per-job requirements of each cohort, (cohort, resource)
-        requirements = np.vstack(
-            [interval.instance.requirement_matrix.T for interval in spec.intervals]
-        )
+        requirements = np.vstack([instance.requirement_matrix.T for instance in instances])
         self.requirements = requirements[self.cohort_of]  # (column, resource)
         self.capacity_rows = (processed - 1)[:, None] * m + np.arange(m)
         self.A_le = np.zeros((spec.horizon * m, columns.size))
         self.A_le[self.capacity_rows, columns[:, None]] = self.requirements
-        self.b_le = np.concatenate(
-            [interval.instance.resources.capacities for interval in spec.intervals]
-        )
+        self.b_le = np.concatenate([instance.resources.capacities for instance in instances])
         #: each cohort's demand exponent ``p = -e`` in the price scale
-        self.powers = np.concatenate(
-            [-interval.instance.utility_kernel().e for interval in spec.intervals]
-        )
+        self.powers = np.concatenate([-instance.utility_kernel().e for instance in instances])
 
     def max_scale(self, demands: np.ndarray, powers: np.ndarray) -> _Repair:
         """Largest ``v`` with ``A_ge x >= demands * v**powers``, capacity and ``x >= 0``.
@@ -418,16 +407,9 @@ def _window_relaxed(interval: IntervalMarket, s: int) -> Instance:
     schedule stage restores physical per-interval limits.
     """
     window = min(interval.deadlines) - s + 1
-    if window == 1:
-        return interval.instance
     resources = interval.instance.resources
-    relaxed = ResourceModel(
-        names=resources.names, capacities=resources.capacities * window
-    )
-    return Instance(
-        resources=relaxed,
-        user_types=interval.instance.user_types,
-        discount=interval.instance.discount,
+    return replace(
+        interval.instance, resources=replace(resources, capacities=resources.capacities * window)
     )
 
 
@@ -476,13 +458,8 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
 
     # demand does not depend on capacity, so the window-relaxed solves'
     # outcomes hold each interval's demand
-    masses = np.concatenate(
-        [
-            interval.instance.counts * result.outcome.demands
-            for interval, result in zip(spec.intervals, interval_results)
-        ]
-    )
     system = spec._schedule_system
+    masses = system.counts * np.concatenate([result.outcome.demands for result in interval_results])
     repair = system.max_scale(masses, system.powers)
     scale = 1.0 / repair.v
     if scale > 1.0 + REPAIR_RTOL:
@@ -491,12 +468,7 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
         scale = 1.0
 
     outcomes = [evaluate(interval.instance, plan) for interval, plan in zip(spec.intervals, plans)]
-    masses = np.concatenate(
-        [
-            interval.instance.counts * outcome.demands
-            for interval, outcome in zip(spec.intervals, outcomes)
-        ]
-    )
+    masses = system.counts * np.concatenate([outcome.demands for outcome in outcomes])
     total_revenue = float(sum(outcome.revenue for outcome in outcomes))
     total_fairness = float(
         sum(
@@ -538,22 +510,15 @@ def horizon_spec_from_json(obj: dict) -> IntervalDemandSpec:
         path = f"intervals[{s - 1}]"
         if not isinstance(raw, dict) or "instance" not in raw or "deadlines" not in raw:
             raise ValueError(f"{path}: expected an object with 'instance' and 'deadlines'")
-        try:
-            instance = instance_from_json(raw["instance"])
-        except ValueError as err:
-            raise ValueError(f"{path}.{err}") from None
         deadlines = raw["deadlines"]
         if not isinstance(deadlines, list) or not all(
             isinstance(d, int) and not isinstance(d, bool) for d in deadlines
         ):
             raise ValueError(f"{path}.deadlines: expected a list of integers")
-        nu = raw.get("nu", 0.0)
-        if isinstance(nu, bool) or not isinstance(nu, (int, float)):
-            raise ValueError(f"{path}.nu: expected a number, got {nu!r}")
         try:
-            intervals.append(
-                IntervalMarket(instance=instance, deadlines=tuple(deadlines), nu=float(nu))
-            )
+            instance = instance_from_json(raw["instance"])
+            nu = _number(raw.get("nu", 0.0), "nu")
+            intervals.append(IntervalMarket(instance=instance, deadlines=tuple(deadlines), nu=nu))
         except ValueError as err:
             raise ValueError(f"{path}.{err}") from None
     return IntervalDemandSpec(horizon=horizon, intervals=tuple(intervals))

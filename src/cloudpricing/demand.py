@@ -51,8 +51,8 @@ class UtilityParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
     def value(self, jobs: float) -> float:
         """Utility of processing ``jobs`` jobs; U(0) = 0 by convention."""
@@ -81,14 +81,25 @@ class DemandPoint:
     net_utility: float
 
 
-def _check_args(utility: UtilityParams, per_job_cost: float, discount: float) -> None:
-    if not (0.0 < discount <= 1.0):
-        raise ValueError(f"discount must lie in (0, 1], got {discount}")
+def _check_demand_law(utility: UtilityParams, discount: float) -> None:
+    """Demand ``k * r**e`` needs a discount above ``1 - alpha`` and a float ``k > 0``."""
     if utility.alpha < 1.0 and discount <= 1.0 - utility.alpha:
         raise ValueError(
             f"discount {discount} must exceed 1 - alpha = {1.0 - utility.alpha}; "
             "below that the user's optimum is unbounded or undefined"
         )
+    try:
+        k = demand_power_law(utility, discount)[0]
+    except ArithmeticError:  # overflow, or a zero base to a negative power
+        k = math.inf
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"demand coefficient {k} (from c = {utility.c}) must be a positive float")
+
+
+def _check_args(utility: UtilityParams, per_job_cost: float, discount: float) -> None:
+    if not (0.0 < discount <= 1.0):
+        raise ValueError(f"discount must lie in (0, 1], got {discount}")
+    _check_demand_law(utility, discount)
     if per_job_cost <= 0.0:
         raise ValueError(
             f"per_job_cost must be positive, got {per_job_cost} (free jobs make demand unbounded)"

@@ -74,9 +74,14 @@ class ObjectiveSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        _check_nu(self.nu)
         _check_beta(self.beta)
+
+
+def _check_nu(nu: float) -> None:
+    """Reject a revenue weight that is not finite and nonnegative."""
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and nonnegative, got {nu}")
 
 
 #: factor by which the barrier weight grows between centering rounds

@@ -22,13 +22,14 @@ both read it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .demand import NetUtilityKernel, UtilityParams
+from .demand import NetUtilityKernel, UtilityParams, _check_demand_law
 
 __all__ = [
     "ResourceModel",
@@ -85,8 +86,10 @@ class ResourceModel:
         object.__setattr__(self, "capacities", _freeze(self.capacities, "capacities"))
         if len(self.names) != self.capacities.size or not self.names:
             raise ValueError("need at least one resource, with one capacity per name")
-        if not np.all(self.capacities > 0.0):
-            raise ValueError(f"capacities must be strictly positive, got {self.capacities}")
+        if not np.all((self.capacities > 0.0) & (self.capacities < np.inf)):
+            raise ValueError(
+                f"capacities must be finite and strictly positive, got {self.capacities}"
+            )
 
     @property
     def m(self) -> int:
@@ -108,12 +111,14 @@ class UserType:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requirements", _freeze(self.requirements, "requirements"))
-        if self.count < 1 or int(self.count) != self.count:
-            raise ValueError(f"count must be a positive integer, got {self.count}")
-        if np.any(self.requirements < 0.0) or not np.any(self.requirements > 0.0):
+        # Instance.counts holds the counts as floats
+        if not (1 <= self.count <= sys.float_info.max and int(self.count) == self.count):
+            raise ValueError(f"count must be a positive integer in float range, got {self.count}")
+        req = self.requirements
+        if np.any(req < 0.0) or not np.any(req > 0.0) or not np.all(req < np.inf):
             raise ValueError(
-                f"requirements must be nonnegative with at least one positive entry, "
-                f"got {self.requirements}"
+                f"requirements must be finite and nonnegative with at least one positive "
+                f"entry, got {req}"
             )
 
 
@@ -137,12 +142,10 @@ class Instance:
                     f"user_types[{j}].requirements: expected {self.resources.m} entries, "
                     f"got {user.requirements.size}"
                 )
-            alpha = user.utility.alpha
-            if alpha < 1.0 and self.discount <= 1.0 - alpha:
-                raise ValueError(
-                    f"user_types[{j}]: discount {self.discount} must exceed "
-                    f"1 - alpha = {1.0 - alpha} for demand to be well-defined"
-                )
+            try:
+                _check_demand_law(user.utility, self.discount)
+            except ValueError as err:
+                raise ValueError(f"user_types[{j}]: {err}") from None
 
     @property
     def n(self) -> int:
@@ -196,9 +199,7 @@ class BundledPlan(_Plan):
     kind = "bundled"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bundle", _freeze(self.bundle, "bundle"))
-        if not np.all(self.bundle > 0.0):
-            raise ValueError(f"bundle entries must be strictly positive, got {self.bundle}")
+        object.__setattr__(self, "bundle", _bundle_entries(self.bundle))
         if not self.price > 0.0:
             raise ValueError(f"bundle price must be positive, got {self.price}")
 
@@ -261,11 +262,17 @@ class Outcome:
     feasible: bool
 
 
+def _bundle_entries(bundle) -> np.ndarray:
+    """The bundle rule: finite, strictly positive entries, as a frozen vector."""
+    b = _freeze(bundle, "bundle")
+    if not np.all((b > 0.0) & (b < np.inf)):
+        raise ValueError(f"bundle entries must be finite and strictly positive, got {b}")
+    return b
+
+
 def _check_bundle(bundle, m: int) -> np.ndarray:
-    b = np.asarray(bundle, dtype=float)
-    if np.any(b <= 0.0):
-        raise ValueError(f"bundle entries must be strictly positive, got {b}")
-    if b.shape != (m,):
+    b = _bundle_entries(bundle)
+    if b.size != m:
         raise ValueError(f"bundle has {b.size} entries, requirements {m}")
     return b
 
@@ -402,8 +409,8 @@ def instance_from_json(obj: dict) -> Instance:
             raise ValueError(f"{path}: expected an object")
         names.append(str(_require(res, "name", path)))
         cap = _number(_require(res, "capacity", path), f"{path}.capacity")
-        if cap <= 0.0:
-            raise ValueError(f"{path}.capacity: must be strictly positive, got {cap}")
+        if not 0.0 < cap < np.inf:
+            raise ValueError(f"{path}.capacity: must be finite and strictly positive, got {cap}")
         capacities.append(cap)
 
     raw_types = _require(obj, "user_types", "instance")
@@ -426,10 +433,6 @@ def instance_from_json(obj: dict) -> Instance:
         if not isinstance(reqs, list):
             raise ValueError(f"{path}.requirements: expected a list")
         reqs = [_number(v, f"{path}.requirements[{i}]") for i, v in enumerate(reqs)]
-        if len(reqs) != len(names):
-            raise ValueError(
-                f"{path}.requirements: expected {len(names)} entries, got {len(reqs)}"
-            )
         try:
             utility = UtilityParams(alpha=alpha, c=c)
             user_types.append(

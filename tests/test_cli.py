@@ -110,6 +110,70 @@ class TestOptimize:
         assert prices[0] == pytest.approx(prices[1], rel=1e-6)
 
 
+    @pytest.mark.parametrize("plan", ["resource", "differentiated"])
+    def test_bundle_with_another_plan_exit_one(self, instance_file, tmp_path, capsys, plan):
+        out = tmp_path / "result.json"
+        args = ["optimize", "--instance", instance_file, "--plan", plan, "--bundle", "1,1"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --bundle applies only to --plan bundled")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bundle", ["1,nan", "1,inf", "0,1"])
+    def test_bad_bundle_exit_one_names_the_bundle(self, instance_file, capsys, bundle):
+        args = ["optimize", "--instance", instance_file, "--plan", "bundled", "--bundle", bundle]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: bundle entries must be finite and strictly positive"
+        )
+
+
+def _spoiled_instance(field: str) -> dict:
+    """The reference market with one number that json reads but no market allows."""
+    obj = instance_to_json(google_cluster_instance())
+    if field == "c-infinite":
+        obj["user_types"][0]["c"] = float("inf")
+    elif field == "c-overflow":
+        obj["user_types"][0]["c"] = 1e300
+    elif field == "count":
+        obj["user_types"][0]["count"] = 10**400
+    elif field == "capacity":
+        obj["resources"][0]["capacity"] = float("inf")
+    else:
+        obj["user_types"][0]["requirements"][1] = float("inf")
+    return obj
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("c-infinite", "user_types[0]: c must be finite"),
+        ("c-overflow", "user_types[0]: demand coefficient inf (from c = 1e+300)"),
+        ("count", "user_types[0]: count must be a positive integer in float range"),
+        ("capacity", "resources[0].capacity: must be finite"),
+        ("requirement", "user_types[0]: requirements must be finite"),
+    ],
+)
+@pytest.mark.parametrize("command", ["optimize", "sweep", "schedule"])
+def test_out_of_range_instance_numbers_exit_one(tmp_path, capsys, field, message, command):
+    # json reads Infinity and integers of any size; each such market must
+    # fail where it is built, naming the field, and never reach a solve
+    obj = _spoiled_instance(field)
+    path = tmp_path / "input.json"
+    if command == "schedule":
+        obj = {"horizon": 1, "intervals": [{"instance": obj, "deadlines": [1, 1, 1]}]}
+        args = ["schedule", "--spec", str(path)]
+    elif command == "sweep":
+        args = ["sweep", "--instance", str(path), "--param", "gamma", "--start", "0.8"]
+        args += ["--stop", "1.0", "--steps", "2"]
+    else:
+        args = ["optimize", "--instance", str(path), "--plan", "resource"]
+    path.write_text(json.dumps(obj))
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_row_count_and_determinism(self, instance_file, tmp_path, capsys):
         args = [
@@ -294,6 +358,30 @@ class TestSweep:
         fairness = [float(row[5]) for row in rows]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(revenue, revenue[1:]))
         assert all(b >= a - 1e-9 * abs(a) for a, b in zip(fairness, fairness[1:]))
+
+    @pytest.mark.parametrize("population", ["0", "-5"])
+    def test_population_below_one_exit_one(self, instance_file, tmp_path, capsys, population):
+        # every type keeps at least one user, so a population below one
+        # would flatten the sweep to one market on every row
+        out = tmp_path / "mix.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "mix:type1", "--start", "0.1"]
+        args += ["--stop", "0.5", "--steps", "3", f"--population={population}", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: population must be at least 1")
+        assert not out.exists()
+
+    def test_mix_share_outside_unit_interval_recorded_not_fatal(self, instance_file, tmp_path):
+        out = tmp_path / "mix.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "mix:type1", "--start", "-1"]
+        args += ["--stop", "0.5", "--steps", "4", "--nu", "0", "--beta", "2"]
+        args += ["--plans", "resource", "--out", str(out)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(float(row[0]), row[-1]) for row in rows] == [
+            (-1.0, "False"), (-0.5, "False"), (0.0, "True"), (0.5, "True")
+        ]
+        with pytest.raises(ValueError, match="outside"):
+            _sweep_target(google_cluster_instance(), "mix:type1", 10)(1.5)
 
     def test_bad_grid_points_recorded_not_fatal(self, instance_file, tmp_path):
         # gamma 0.4 undercuts type1's elasticity floor; the sweep must keep

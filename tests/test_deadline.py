@@ -85,6 +85,19 @@ class TestBuildProgram:
         with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
             IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu)
 
+    @pytest.mark.parametrize("nu", [-1.0, -1e-300, float("nan"), float("inf"), 0.0, 2.5])
+    def test_nu_rule_matches_objective_spec(self, nu):
+        # a horizon's revenue weight feeds an ObjectiveSpec, so both take the
+        # same values and reject the rest with the same message
+        try:
+            ObjectiveSpec(nu=nu, beta=2.0)
+        except ValueError as err:
+            with pytest.raises(ValueError) as caught:
+                IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu)
+            assert str(caught.value) == str(err)
+        else:
+            assert IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu).nu == nu
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, float("inf"), float("nan")])
     def test_rejects_beta_outside_the_family(self, beta):
         spec = IntervalDemandSpec(
@@ -117,6 +130,58 @@ class TestBuildProgram:
         text = str(caught[0].message)
         assert all(f"interval {s}:" in text for s in (1, 3, 4))
         assert "interval 2:" not in text
+
+
+def nested_loop_enumeration(spec: IntervalDemandSpec):
+    """The schedule system's index arrays, enumerated one triple at a time:
+    cohorts by submission interval, then type; each cohort's columns by
+    processing interval; each column's capacity rows by resource."""
+    m = spec.intervals[0].instance.m
+    cohorts, variables, cohort_of, capacity_rows = [], [], [], []
+    for s, interval in enumerate(spec.intervals, start=1):
+        for j, tau in enumerate(interval.deadlines):
+            cohorts.append((j, s, tau))
+            for t in range(s, tau + 1):
+                variables.append((j, s, t))
+                cohort_of.append(len(cohorts) - 1)
+                capacity_rows.append([(t - 1) * m + i for i in range(m)])
+    return tuple(cohorts), tuple(variables), cohort_of, capacity_rows
+
+
+@st.composite
+def enumeration_horizons(draw):
+    """One to six intervals of one or two resources, one to four types each,
+    every type's deadline anywhere in [s, T]."""
+    T, m = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    intervals = []
+    for s in range(1, T + 1):
+        n = draw(st.integers(1, 4))
+        market = Instance(
+            resources=ResourceModel(names=tuple(f"r{i}" for i in range(m)), capacities=[1.0] * m),
+            user_types=tuple(
+                UserType(f"t{j}", draw(st.integers(1, 9)), (1.0,) * m, UtilityParams(0.5, 1.0))
+                for j in range(n)
+            ),
+            discount=1.0,
+        )
+        deadlines = tuple(draw(st.integers(s, T)) for _ in range(n))
+        intervals.append(IntervalMarket(market, deadlines=deadlines))
+    return IntervalDemandSpec(horizon=T, intervals=tuple(intervals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_horizons())
+def test_schedule_system_matches_nested_loop_enumeration(spec):
+    cohorts, variables, cohort_of, capacity_rows = nested_loop_enumeration(spec)
+    program = build_program(spec, beta=2.0)
+    system = spec._schedule_system
+    assert program.schedule_vars == variables
+    assert system.cohorts == cohorts
+    assert system.cohort_of.tolist() == cohort_of
+    assert system.capacity_rows.tolist() == capacity_rows
+    assert system.counts.tolist() == [
+        spec.intervals[s - 1].instance.user_types[j].count for j, s, _ in cohorts
+    ]
 
 
 class TestScheduleFeasible:

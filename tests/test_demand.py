@@ -54,6 +54,11 @@ class TestOptimalDemand:
         with pytest.raises(ValueError, match="must exceed 1 - alpha"):
             optimal_demand(UtilityParams(0.5, 1.0), 1.0, 0.4)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_c_outside_finite_positive(self, c):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            UtilityParams(0.5, c)
+
     def test_rejects_free_jobs(self):
         with pytest.raises(ValueError, match="unbounded"):
             optimal_demand(UtilityParams(0.5, 1.0), 0.0, 1.0)

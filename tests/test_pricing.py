@@ -20,6 +20,7 @@ from cloudpricing import (
     instance_to_json,
     lift_resource_to_differentiated,
     load_instance,
+    optimal_demand,
     per_job_cost,
     save_instance,
 )
@@ -104,6 +105,22 @@ class TestPlanStructure:
     def test_rejects_bundle_of_wrong_size(self, reference_instance):
         with pytest.raises(ValueError, match="bundle has 3 entries"):
             plan_structure(reference_instance, "bundled", (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "bundle, message",
+        [
+            ((1.0, np.nan), "finite and strictly positive"),
+            ((1.0, np.inf), "finite and strictly positive"),
+            ((0.0, 1.0), "finite and strictly positive"),
+            ((1.0, 1.0, 1.0), "bundle has 3 entries"),
+        ],
+    )
+    def test_bundle_rule_is_shared_by_plan_and_structure(self, reference_instance, bundle, message):
+        with pytest.raises(ValueError, match=message) as direct:
+            plan_structure(reference_instance, "bundled", bundle)
+        with pytest.raises(ValueError) as planned:
+            evaluate(reference_instance, BundledPlan(bundle=bundle, price=1.0))
+        assert str(planned.value) == str(direct.value)
 
 
 class TestEvaluate:
@@ -278,6 +295,47 @@ class TestValidation:
                 resources=ResourceModel(names=("r",), capacities=(1.0,)),
                 user_types=(UserType("u", 1, (1.0,), UtilityParams(0.5, 1.0)),),
                 discount=0.4,
+            )
+
+    def test_discount_rule_matches_demand(self):
+        utility = UtilityParams(0.5, 1.0)
+        with pytest.raises(ValueError) as direct:
+            optimal_demand(utility, 1.0, 0.4)
+        with pytest.raises(ValueError) as built:
+            Instance(
+                resources=ResourceModel(names=("r",), capacities=(1.0,)),
+                user_types=(UserType("u", 1, (1.0,), utility),),
+                discount=0.4,
+            )
+        assert str(built.value) == f"user_types[0]: {direct.value}"
+
+    @pytest.mark.parametrize("capacity", [np.inf, np.nan])
+    def test_capacity_must_be_finite(self, capacity):
+        with pytest.raises(ValueError, match="capacities must be finite"):
+            ResourceModel(names=("r",), capacities=(capacity,))
+
+    @pytest.mark.parametrize("requirement", [np.inf, np.nan])
+    def test_requirements_must_be_finite(self, requirement):
+        with pytest.raises(ValueError, match="requirements must be finite"):
+            UserType("u", 1, (1.0, requirement), UtilityParams(0.5, 1.0))
+
+    @pytest.mark.parametrize(
+        "count", [pytest.param(10**400, id="10**400"), float("inf"), float("nan"), 0, 2.5]
+    )
+    def test_count_must_be_a_positive_integer_float(self, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            UserType("u", count, (1.0,), UtilityParams(0.5, 1.0))
+
+    def test_large_exact_count_accepted(self):
+        assert UserType("u", 10**17 + 1, (1.0,), UtilityParams(0.5, 1.0)).count == 10**17 + 1
+
+    @pytest.mark.parametrize("c, alpha", [(1e300, 0.5), (1e-300, 0.5), (1e300, 1.0)])
+    def test_demand_coefficient_must_be_finite_and_positive(self, c, alpha):
+        with pytest.raises(ValueError, match=r"user_types\[0\]: demand coefficient"):
+            Instance(
+                resources=ResourceModel(names=("r",), capacities=(1.0,)),
+                user_types=(UserType("u", 1, (1.0,), UtilityParams(alpha, c)),),
+                discount=0.9,
             )
 
     def test_dimension_mismatch(self):
