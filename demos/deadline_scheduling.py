@@ -10,7 +10,6 @@ from cloudpricing import Instance, ResourceModel, UserType, UtilityParams
 from cloudpricing.deadline import (
     IntervalDemandSpec,
     IntervalMarket,
-    build_program,
     schedule_feasible,
     solve_horizon,
 )
@@ -32,10 +31,9 @@ spec = IntervalDemandSpec(
     ),
 )
 
-program = build_program(spec, beta=2.0)
-print(f"schedule variables (type, submitted, processed): {program.schedule_vars}")
+print(f"schedule variables (type, submitted, processed): {spec.schedule_vars}")
 
-result = solve_horizon(program)
+result = solve_horizon(spec, 2.0)
 print(f"price scale applied to restore schedulability: {result.price_scale:.6f}")
 for s, plan in enumerate(result.plans, start=1):
     print(f"  interval {s} price: {plan.prices[0]:.6f}")

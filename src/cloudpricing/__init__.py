@@ -55,12 +55,10 @@ from .optimizer import (
     tradeoff_bound_check,
 )
 from .deadline import (
-    HorizonProgram,
     HorizonResult,
     IntervalDemandSpec,
     IntervalMarket,
     Schedule,
-    build_program,
     horizon_spec_from_json,
     load_horizon_spec,
     schedule_feasible,

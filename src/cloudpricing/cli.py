@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .charts import render_contours
-from .deadline import build_program, load_horizon_spec, solve_horizon
+from .deadline import load_horizon_spec, solve_horizon
 from .fairness import FairnessSpec, beta_fairness, equitability_efficiency_split
 from .optimizer import (
     ObjectiveSpec,
@@ -325,9 +325,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_verify(args) -> int:
     scopes = [s.strip() for s in args.scope.split(",")] if args.scope else list(SCOPES)
-    results = run_checks(
-        scopes=scopes, seed=args.seed, samples=args.samples, break_demand=args.break_demand
-    )
+    results = run_checks(scopes=scopes, seed=args.seed, samples=args.samples)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -339,8 +337,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_schedule(args) -> int:
     spec = load_horizon_spec(args.spec)
-    program = build_program(spec, beta=args.beta)
-    result = solve_horizon(program, args.tol)
+    result = solve_horizon(spec, args.beta, args.tol)
     print(f"horizon: {spec.horizon} intervals; price scale {result.price_scale:.6g}")
     for s, (interval, plan) in enumerate(zip(spec.intervals, result.plans), start=1):
         prices = " ".join(f"{p:.6g}" for p in plan.prices)
@@ -426,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scope", default=None, help=f"comma list from {','.join(SCOPES)}")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=200)
-    ver.add_argument("--break-demand", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=_cmd_verify)
 
     sch = sub.add_parser("schedule", help="solve a deadline horizon")

@@ -34,6 +34,7 @@ arrays and kept on the :class:`IntervalDemandSpec`.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fairness import _check_beta, beta_fairness
+from .fairness import beta_fairness
 from .optimizer import (
     ObjectiveSpec,
     SolveResult,
@@ -50,16 +51,14 @@ from .optimizer import (
     barrier_optimize,
     concavity_weight_bound,
 )
-from .pricing import Instance, ResourcePlan, _number, evaluate
+from .pricing import Instance, ResourcePlan, _number, evaluate, instance_from_json
 
 __all__ = [
     "IntervalMarket",
     "IntervalDemandSpec",
-    "HorizonProgram",
     "Schedule",
     "InfeasibilityCertificate",
     "HorizonResult",
-    "build_program",
     "schedule_feasible",
     "solve_horizon",
     "horizon_spec_from_json",
@@ -125,33 +124,10 @@ class IntervalDemandSpec:
     def _schedule_system(self) -> _ScheduleSystem:
         return _ScheduleSystem(self)
 
-
-@dataclass(frozen=True, eq=False)
-class HorizonProgram:
-    """A horizon and its fairness exponent: what :func:`solve_horizon` solves.
-
-    The objective is the weighted per-interval sum ``sum_s nu(s) *
-    revenue_s + fairness_s`` (:meth:`interval_objectives`); capacity couples
-    intervals only through the schedule unknowns, ``schedule_vars``, which
-    are (type index, submission interval, processing interval) triples with
-    both intervals 1-based.
-    """
-
-    spec: IntervalDemandSpec
-    beta: float
-
     @property
     def schedule_vars(self) -> tuple[tuple[int, int, int], ...]:
-        return self.spec._schedule_system.variables
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.schedule_vars)
-
-    def interval_objectives(self) -> tuple[ObjectiveSpec, ...]:
-        return tuple(
-            ObjectiveSpec(nu=interval.nu, beta=self.beta) for interval in self.spec.intervals
-        )
+        """The schedule unknowns: (type index, submitted, processed), both intervals 1-based."""
+        return self._schedule_system.variables
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +163,12 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True, eq=False)
 class HorizonResult:
+    """The outcome of :func:`solve_horizon`.
+
+    ``interval_results`` are the stage-one solves at window-relaxed
+    capacities and hold pre-scale prices; ``plans`` hold the posted prices.
+    """
+
     plans: tuple[ResourcePlan, ...]
     interval_results: tuple[SolveResult, ...]
     schedule: Schedule
@@ -194,28 +176,6 @@ class HorizonResult:
     total_fairness: float
     price_scale: float
     converged: bool
-
-
-def build_program(spec: IntervalDemandSpec, beta: float) -> HorizonProgram:
-    """Check ``beta`` and pair it with the horizon.
-
-    Warns once, naming every interval whose revenue weight exceeds the
-    concavity certificate for its market (the joint problem is then not
-    certified convex).
-    """
-    _check_beta(beta)
-    above = []
-    for s, interval in enumerate(spec.intervals, start=1):
-        if beta > 1.0 and interval.nu > 0.0:
-            certified = concavity_weight_bound(interval.instance, beta)
-            if interval.nu > certified:
-                above.append(
-                    f"interval {s}: revenue weight {interval.nu} exceeds the concavity "
-                    f"certificate {certified:.3g}"
-                )
-    if above:
-        warnings.warn(f"{'; '.join(above)}; joint convexity is not guaranteed", stacklevel=2)
-    return HorizonProgram(spec=spec, beta=beta)
 
 
 class _ScheduleSystem:
@@ -310,14 +270,16 @@ class _ScheduleSystem:
             return grad, hess
 
         # start strictly inside: every row at most half used, every cohort
-        # delivering twice what it asks at scale v
-        x = np.full(V, 0.5 * np.min(self.b_le / np.maximum(A.sum(axis=1), 1e-300)))
-        delivered = np.bincount(cohort, weights=x, minlength=L)
-        z = np.append(x, np.min((delivered / (2.0 * d)) ** (1.0 / p)))
-        z, _, _, message = _barrier_path(
-            value, derivatives, z, 1.0, lambda z, t: n_barrier / (t * z[-1]),
-            REPAIR_RTOL, REPAIR_ROUNDS,
-        )
+        # delivering twice what it asks at scale v; at extreme magnitudes the
+        # iterates overflow, and Newton rejects non-finite values and derivatives
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = np.full(V, 0.5 * np.min(self.b_le / np.maximum(A.sum(axis=1), 1e-300)))
+            delivered = np.bincount(cohort, weights=x, minlength=L)
+            z = np.append(x, np.min((delivered / (2.0 * d)) ** (1.0 / p)))
+            z, _, _, message = _barrier_path(
+                value, derivatives, z, 1.0, lambda z, t: n_barrier / (t * z[-1]),
+                REPAIR_RTOL, REPAIR_ROUNDS,
+            )
         x, v = z[:-1], float(z[-1])
         delivered = np.bincount(self.cohort_of[columns], weights=x, minlength=demands.size)
         return _Repair(self, x, columns, delivered, demands * v**powers, v, not message)
@@ -387,8 +349,8 @@ def schedule_feasible(
     for s, interval in enumerate(spec.intervals, start=1):
         if demands[s - 1].size != interval.instance.n:
             raise ValueError(f"interval {s}: expected {interval.instance.n} demands")
-        if np.any(demands[s - 1] < 0.0):
-            raise ValueError(f"interval {s}: demands must be nonnegative")
+        if not np.all(np.isfinite(demands[s - 1]) & (demands[s - 1] >= 0.0)):
+            raise ValueError(f"interval {s}: demands must be finite and nonnegative")
     masses = np.concatenate(demands)
     system = spec._schedule_system
     repair = system.max_scale(masses, np.ones_like(masses))
@@ -425,8 +387,12 @@ def _stage_one_key(market: Instance, nu: float) -> tuple:
     )
 
 
-def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonResult:
+def solve_horizon(spec: IntervalDemandSpec, beta: float, tolerance: float = 1e-6) -> HorizonResult:
     """Optimize per-interval prices, then certify or repair schedulability.
+
+    The objective is ``sum_s nu(s) * revenue_s + fairness_s`` at fairness
+    exponent ``beta``, checked before any solve; one warning names every
+    interval whose revenue weight exceeds its market's concavity certificate.
 
     Stage one solves each interval's price problem independently (revenue
     and fairness depend only on prices) to ``tolerance``, once per distinct
@@ -443,12 +409,24 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
     stage-one solve or the repair did not close its gap; the posted prices
     are then still schedulable, at a scale that may exceed the minimum.
     """
-    spec = program.spec
+    objectives = [ObjectiveSpec(nu=interval.nu, beta=beta) for interval in spec.intervals]
+    above = []
+    for s, interval in enumerate(spec.intervals, start=1):
+        if beta > 1.0 and interval.nu > 0.0:
+            certified = concavity_weight_bound(interval.instance, beta)
+            if interval.nu > certified:
+                above.append(
+                    f"interval {s}: revenue weight {interval.nu} exceeds the concavity "
+                    f"certificate {certified:.3g}"
+                )
+    if above:
+        warnings.warn(f"{'; '.join(above)}; joint convexity is not guaranteed", stacklevel=2)
+
     markets = [_window_relaxed(interval, s) for s, interval in enumerate(spec.intervals, start=1)]
     keys = [_stage_one_key(mk, interval.nu) for mk, interval in zip(markets, spec.intervals)]
     solved: dict[tuple, SolveResult] = {}
     warm = None
-    for key, market, obj_spec in zip(keys, markets, program.interval_objectives()):
+    for key, market, obj_spec in zip(keys, markets, objectives):
         if key not in solved:
             solved[key] = barrier_optimize(market, "resource", obj_spec, tolerance, start=warm)
             if solved[key].converged:
@@ -472,7 +450,7 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
     total_revenue = float(sum(outcome.revenue for outcome in outcomes))
     total_fairness = float(
         sum(
-            beta_fairness(outcome.net_utilities, program.beta, weights=interval.instance.counts)
+            beta_fairness(outcome.net_utilities, beta, weights=interval.instance.counts)
             for interval, outcome in zip(spec.intervals, outcomes)
         )
     )
@@ -493,8 +471,6 @@ def solve_horizon(program: HorizonProgram, tolerance: float = 1e-6) -> HorizonRe
 
 def horizon_spec_from_json(obj: dict) -> IntervalDemandSpec:
     """Parse {"horizon": T, "intervals": [{"instance", "deadlines", "nu"}...]}."""
-    from .pricing import instance_from_json
-
     if not isinstance(obj, dict):
         raise ValueError("horizon spec: expected a JSON object")
     if "horizon" not in obj or "intervals" not in obj:
@@ -525,7 +501,5 @@ def horizon_spec_from_json(obj: dict) -> IntervalDemandSpec:
 
 
 def load_horizon_spec(path) -> IntervalDemandSpec:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         return horizon_spec_from_json(json.load(fh))

@@ -112,12 +112,10 @@ def objective_price_hessian(
 # demand
 
 
-def _check_demand_roots(rng, samples: int, flip_sign: bool) -> CheckResult:
+def _check_demand_roots(rng, samples: int) -> CheckResult:
     worst = 0.0
     for utility, r, gamma in random_demand_tuples(rng, samples):
         closed = optimal_demand(utility, r, gamma)
-        if flip_sign:
-            closed = -closed
         root = demand_by_bisection(utility.marginal, r, gamma)
         worst = max(worst, abs(closed - root) / root)
     return CheckResult(
@@ -585,15 +583,8 @@ def _check_clustering(rng) -> CheckResult:
 SCOPES = ("demand", "plans", "fairness", "bounds", "oracle", "clustering")
 
 
-def run_checks(
-    scopes=None, seed: int = 0, samples: int = 200, break_demand: bool = False
-) -> list[CheckResult]:
-    """Run the verification checks for the requested scopes.
-
-    ``break_demand`` is a harness self-test hook: it flips the sign of the
-    closed-form demand inside the root-comparison check, which must then
-    fail.
-    """
+def run_checks(scopes=None, seed: int = 0, samples: int = 200) -> list[CheckResult]:
+    """Run the verification checks for the requested scopes."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     selected = tuple(scopes) if scopes else SCOPES
@@ -603,7 +594,7 @@ def run_checks(
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     if "demand" in selected:
-        results.append(_check_demand_roots(rng, samples, break_demand))
+        results.append(_check_demand_roots(rng, samples))
         results.append(_check_demand_monotone(rng, samples))
         results.append(_check_demand_sensitivity(rng, samples))
         results.append(_check_surplus_identity(rng, samples))

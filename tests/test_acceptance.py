@@ -34,7 +34,6 @@ from cloudpricing import (
 from cloudpricing.deadline import (
     IntervalDemandSpec,
     IntervalMarket,
-    build_program,
     schedule_feasible,
     solve_horizon,
 )
@@ -363,7 +362,7 @@ def test_criterion_11_deadlines():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            horizon = solve_horizon(build_program(immediate, beta=2.0))
+            horizon = solve_horizon(immediate, 2.0)
             single = barrier_optimize(market, "resource", ObjectiveSpec(1.0, 2.0))
         single_fairness = beta_fairness(single.outcome.net_utilities, 2.0)
         assert horizon.total_revenue == pytest.approx(
@@ -383,7 +382,7 @@ def test_criterion_11_deadlines():
                 IntervalMarket(unit, deadlines=(2,), nu=0.0),
             ),
         )
-        result = solve_horizon(build_program(tight, beta=2.0))
+        result = solve_horizon(tight, 2.0)
         assert result.schedule.amounts.get((0, 1, 2), 0.0) > 0.0
 
         # LP witness residuals on the overload-and-split toy

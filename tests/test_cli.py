@@ -660,8 +660,13 @@ class TestVerify:
         assert "tradeoff-bounds-hold" in out
         assert "demand-closed-form-vs-bisection" not in out
 
-    def test_break_demand_fails(self, capsys):
-        code = main(["verify", "--scope", "demand", "--samples", "40", "--break-demand"])
+    def test_break_demand_fails(self, monkeypatch, capsys):
+        # a bisection root off by one part in a million must fail the root check
+        bisect = verify.demand_by_bisection
+        monkeypatch.setattr(
+            verify, "demand_by_bisection", lambda *args: bisect(*args) * (1.0 + 1e-6)
+        )
+        code = main(["verify", "--scope", "demand", "--samples", "40"])
         assert code != 0
         out = capsys.readouterr().out
         assert "[FAIL] demand-closed-form-vs-bisection" in out

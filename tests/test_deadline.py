@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from cloudpricing import (
 from cloudpricing.deadline import (
     IntervalDemandSpec,
     IntervalMarket,
-    build_program,
     horizon_spec_from_json,
     schedule_feasible,
     solve_horizon,
@@ -35,14 +36,15 @@ def single_type_market(capacity: float, c: float = 1.0) -> Instance:
 
 
 class TestBuildProgram:
+    """Horizon construction and the checks `solve_horizon` makes before it solves."""
+
     def test_horizon_one_is_single_interval(self):
         spec = IntervalDemandSpec(
             horizon=1,
             intervals=(IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=0.0),),
         )
-        program = build_program(spec, beta=2.0)
-        assert program.schedule_vars == ((0, 1, 1),)
-        result = solve_horizon(program)
+        assert spec.schedule_vars == ((0, 1, 1),)
+        result = solve_horizon(spec, 2.0)
         single = barrier_optimize(
             single_type_market(4.0), "resource", ObjectiveSpec(0.0, 2.0)
         )
@@ -58,9 +60,7 @@ class TestBuildProgram:
                 IntervalMarket(single_type_market(4.0), deadlines=(2,), nu=0.0),
             ),
         )
-        program = build_program(spec, beta=2.0)
-        assert program.schedule_vars == ((0, 1, 1), (0, 1, 2), (0, 2, 2))
-        assert program.variable_count == 3
+        assert spec.schedule_vars == ((0, 1, 1), (0, 1, 2), (0, 2, 2))
 
     def test_deadline_out_of_range(self):
         with pytest.raises(ValueError, match="deadline 3 outside"):
@@ -99,13 +99,16 @@ class TestBuildProgram:
             assert IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=nu).nu == nu
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, float("inf"), float("nan")])
-    def test_rejects_beta_outside_the_family(self, beta):
+    def test_rejects_beta_outside_the_family(self, beta, monkeypatch):
         spec = IntervalDemandSpec(
             horizon=1,
             intervals=(IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=0.0),),
         )
+        calls = []
+        monkeypatch.setattr(deadline, "barrier_optimize", lambda *args, **kwargs: calls.append(1))
         with pytest.raises(ValueError, match="beta must be"):
-            build_program(spec, beta=beta)
+            solve_horizon(spec, beta)
+        assert calls == []  # rejected before any price solve
 
     def test_warns_above_concavity_certificate(self):
         spec = IntervalDemandSpec(
@@ -113,7 +116,7 @@ class TestBuildProgram:
             intervals=(IntervalMarket(single_type_market(4.0), deadlines=(1,), nu=5.0),),
         )
         with pytest.warns(UserWarning, match="concavity"):
-            build_program(spec, beta=2.0)
+            solve_horizon(spec, 2.0)
 
     def test_one_concavity_warning_per_horizon(self):
         nus = (5.0, 0.0, 5.0, 5.0)
@@ -125,7 +128,7 @@ class TestBuildProgram:
             ),
         )
         with pytest.warns(UserWarning) as caught:
-            build_program(spec, beta=2.0)
+            solve_horizon(spec, 2.0)
         assert len(caught) == 1
         text = str(caught[0].message)
         assert all(f"interval {s}:" in text for s in (1, 3, 4))
@@ -173,9 +176,8 @@ def enumeration_horizons(draw):
 @given(enumeration_horizons())
 def test_schedule_system_matches_nested_loop_enumeration(spec):
     cohorts, variables, cohort_of, capacity_rows = nested_loop_enumeration(spec)
-    program = build_program(spec, beta=2.0)
     system = spec._schedule_system
-    assert program.schedule_vars == variables
+    assert spec.schedule_vars == variables
     assert system.cohorts == cohorts
     assert system.cohort_of.tolist() == cohort_of
     assert system.capacity_rows.tolist() == capacity_rows
@@ -268,6 +270,19 @@ class TestScheduleFeasible:
     def test_rejects_negative_demand(self):
         with pytest.raises(ValueError, match="nonnegative"):
             schedule_feasible([[-1.0], [0.0]], self.two_interval_spec(1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_demand_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="interval 1: demands must be finite and nonnegative"):
+            schedule_feasible([[bad], [0.0]], self.two_interval_spec(1.0))
+
+    def test_tiny_demand_raises_no_floating_point_warning(self):
+        # the repair's start point and trial steps overflow at this scale;
+        # the overflow stays inside the repair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, _ = schedule_feasible([[1e-300], [0.0]], self.two_interval_spec(1.0))
+        assert ok
 
     def test_zero_demand_trivially_feasible(self):
         # a zero-demand cohort beside a loaded one drops out of the witness
@@ -392,7 +407,7 @@ class TestSolveHorizon:
                 IntervalMarket(market, deadlines=(2,), nu=1.0),
             ),
         )
-        result = solve_horizon(build_program(spec, beta=2.0))
+        result = solve_horizon(spec, 2.0)
         single = barrier_optimize(market, "resource", ObjectiveSpec(1.0, 2.0))
         fairness = beta_fairness(single.outcome.net_utilities, 2.0)
         assert result.price_scale == 1.0
@@ -404,7 +419,7 @@ class TestSolveHorizon:
         market = single_type_market(4.0)
         spec = IntervalDemandSpec(horizon=1, intervals=(IntervalMarket(market, deadlines=(1,)),))
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-            solve_horizon(build_program(spec, beta=2.0), tolerance)
+            solve_horizon(spec, 2.0, tolerance)
 
     def test_tight_interval_defers_mass(self):
         # both intervals have unit capacity; interval-1 jobs may finish in
@@ -416,7 +431,7 @@ class TestSolveHorizon:
                 IntervalMarket(single_type_market(1.0), deadlines=(2,), nu=0.0),
             ),
         )
-        result = solve_horizon(build_program(spec, beta=2.0))
+        result = solve_horizon(spec, 2.0)
         deferred = result.schedule.amounts.get((0, 1, 2), 0.0)
         assert deferred > 0.0
         assert result.price_scale > 1.0
@@ -433,8 +448,7 @@ class TestSolveHorizon:
                 IntervalMarket(market, deadlines=(3,), nu=0.5),
             ),
         )
-        program = build_program(spec, beta=2.0)
-        result = solve_horizon(program)
+        result = solve_horizon(spec, 2.0)
         from cloudpricing.pricing import evaluate
 
         revenue = sum(
@@ -559,7 +573,7 @@ class TestDeliveryTolerance:
     and the repaired price scale is the smallest that HiGHS can schedule."""
 
     def check_minimal(self, spec: IntervalDemandSpec):
-        result = solve_horizon(build_program(spec, beta=2.0))
+        result = solve_horizon(spec, 2.0)
         assert result.converged
         masses = posted_masses(spec, result.plans)
         for s, row in enumerate(masses, start=1):
@@ -639,7 +653,7 @@ class TestStageOneSharing:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(deadline, "barrier_optimize", counting)
-        result = solve_horizon(build_program(spec, beta=2.0))
+        result = solve_horizon(spec, 2.0)
         monkeypatch.setattr(deadline, "barrier_optimize", original)
         return result, len(calls)
 
@@ -722,7 +736,7 @@ class TestWarmStageOne:
 
         monkeypatch.setattr(deadline, "barrier_optimize", recording)
         monkeypatch.setattr(optimizer, "_barrier_ladder", stalling)
-        return solve_horizon(build_program(spec, beta=2.0)), starts, stalls
+        return solve_horizon(spec, 2.0), starts, stalls
 
     def cold_solves(self, spec):
         return [
