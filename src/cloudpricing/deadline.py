@@ -46,6 +46,7 @@ from .fairness import beta_fairness
 from .optimizer import (
     ObjectiveSpec,
     SolveResult,
+    _DenseSystem,
     _barrier_path,
     _check_nu,
     barrier_optimize,
@@ -267,7 +268,7 @@ class _ScheduleSystem:
             hess[:-1, -1] = hess[-1, :-1] = -(q * w)[cohort]
             curvature = d * p * (p - 1.0) * v ** (p - 2.0) / g
             hess[-1, -1] = np.sum(q**2 * w) + np.sum(curvature) + L / v**2
-            return grad, hess
+            return grad, _DenseSystem(hess)
 
         # start strictly inside: every row at most half used, every cohort
         # delivering twice what it asks at scale v; at extreme magnitudes the

@@ -6,7 +6,10 @@ per-job cost vector is linear in the price variables, and revenue, fairness,
 and usage all reduce to per-type power laws of those costs; gradients and
 Hessians are assembled analytically from that structure.
 
-The solver is a log-barrier interior-point method: minimize
+A bundled plan has one price, and its optimum is the lowest price that
+fills the bundles for every weight (:func:`bundled_price_bisection`), so it
+is solved in closed form.  The other plans use a log-barrier interior-point
+method: minimize
 
     f_t(p) = -t * objective(p) - sum_i log(slack_i(p)) - sum_k log(p_k)
              - sum_k log(cap_k - p_k)
@@ -16,9 +19,12 @@ never binds at an optimum), then increase ``t`` by ``BARRIER_GROWTH`` per
 round until the barrier gap falls below ``tolerance`` relative to the
 objective's magnitude at the current iterate.  Fairness exponents make
 objective values span many orders of magnitude along the path, so both the
-initial weight and the stopping test adapt to the local scale.  The same
-central-path loop, with the same damped Newton, solves the deadline
-module's schedule repair.
+initial weight and the stopping test adapt to the local scale.  Each
+Newton system is solved in its own structure: resource plans have a few
+prices and a dense system, while a differentiated plan's Hessian is a
+diagonal plus one low-rank term per capacity row, solved in ``O(n m²)``
+without forming an ``n × n`` matrix.  The same central-path loop, with the
+same damped Newton, solves the deadline module's schedule repair.
 
 A brute-force grid search over the same objective is provided as an
 independent verification oracle, along with the closed-form concavity
@@ -105,7 +111,8 @@ class SolveResult:
     ``converged`` implies it is at or below the requested tolerance.
     ``iterations`` counts the damped Newton steps of every barrier ladder
     the solve ran (stalled warm starts, alternates and the basin-escape
-    probe's ladder too), not only of the one whose point is returned.
+    probe's ladder too), not only of the one whose point is returned.  A
+    bundled solve is closed-form: its ``iterations`` and ``gap`` are 0.
     """
 
     plan: PricingPlan
@@ -181,9 +188,11 @@ class _PriceProblem:
     Per-job costs are linear in the price vector (``r = D @ p``), and every
     per-type quantity is a power law of its cost (``kernel``), so first and
     second derivatives in price space are congruence transforms of per-type
-    scalar derivatives by ``D``.  The barrier calls these many times per
-    solve: each power of the costs is formed once per point, and the
-    float-error state once per call, by the caller where a method says so.
+    scalar derivatives by ``D``.  A differentiated plan's prices are its
+    costs: its ``D`` is ``None`` and never formed.  The barrier calls these
+    many times per solve: each power of the costs is formed once per point,
+    and the float-error state once per call, by the caller where a method
+    says so.
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
@@ -193,7 +202,7 @@ class _PriceProblem:
         self.w = instance.counts
         self.kernel = instance.utility_kernel()
         self.bill_weights = self.w * self.kernel.A  # revenue is their dot with r**q
-        self.dim = self.D.shape[1]
+        self.dim = instance.n if self.D is None else self.D.shape[1]
 
     def make_plan(self, prices: np.ndarray) -> PricingPlan:
         if self.kind == "bundled":
@@ -203,7 +212,8 @@ class _PriceProblem:
         return DifferentiatedPlan(prices=prices)
 
     def costs(self, prices: np.ndarray) -> np.ndarray:
-        return self.D @ prices
+        """Per-job costs ``D @ prices`` (the prices themselves when ``D`` is ``None``)."""
+        return prices if self.D is None else self.D @ prices
 
     def slacks(self, costs: np.ndarray) -> np.ndarray:
         return self.limits - self.G @ self.kernel.demand(costs)
@@ -326,7 +336,11 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
                 fallback = start
     if fallback is not None:
         return fallback
-    raise InfeasibleError(
+    raise _no_finite_objective(spec)
+
+
+def _no_finite_objective(spec: ObjectiveSpec) -> InfeasibleError:
+    return InfeasibleError(
         "no strictly feasible price vector keeps every type's net utility positive "
         f"and F_beta (beta={spec.beta:g}) inside the float range"
     )
@@ -355,48 +369,178 @@ def _barrier_value(problem, spec, t_scaled, prices, ceiling) -> float:
 
 
 def _barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
-    """Gradient and Hessian of the barrier function in price space."""
+    """Gradient and Newton system of the barrier function in price space.
+
+    The Hessian is ``-t Dᵀ diag(obj'') D + Jᵀ S⁻² J + Dᵀ diag(curvature) D``
+    plus the box terms, with ``J`` the usage Jacobian (one row per capacity
+    row) and ``S`` the slacks.  A differentiated plan's ``D`` is the
+    identity, so all but ``Jᵀ S⁻² J`` is diagonal and its system keeps that
+    structure; the other plans have a few prices and a dense system.
+    """
     costs = problem.costs(prices)
     D = problem.D
     with np.errstate(over="ignore", invalid="ignore"):
         x1, x2 = problem.kernel.derivatives("demand", costs)
         slack = problem.slacks(costs)
         obj1, obj2 = problem.objective_cost_derivatives(spec, costs)
-        jac = (problem.G * x1[None, :]) @ D  # d usage_i / d p
-        grad = -t_scaled * (D.T @ obj1)
+        curvature = (problem.G * x2[None, :]) / slack[:, None]  # sum_i (d2 usage)/slack
+        box = 1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2
+        if D is None:
+            jac = problem.G * x1[None, :]  # d usage_i / d p
+            grad = -t_scaled * obj1
+        else:
+            jac = (problem.G * x1[None, :]) @ D
+            grad = -t_scaled * (D.T @ obj1)
         grad += jac.T @ (1.0 / slack)
         grad -= 1.0 / prices
         grad += 1.0 / (ceiling - prices)
+        if D is None:
+            return grad, _DiagonalLowRankSystem(
+                -t_scaled * obj2, jac, slack, curvature.sum(axis=0), box
+            )
         hess = -t_scaled * (D.T * obj2) @ D
         hess += (jac.T / slack**2) @ jac
-        curvature = (problem.G * x2[None, :]) / slack[:, None]  # sum_i (d2 usage)/slack
         hess += (D.T * curvature.sum(axis=0)) @ D
-        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
-    return grad, hess
+        hess += np.diag(box)
+    return grad, _DenseSystem(hess)
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+class _DenseSystem:
+    """A Newton system ``H d = rhs`` held as its assembled matrix.
+
+    Resource plans (a few prices) and the deadline repair solve their
+    systems this way, and a differentiated system falls back to it at a
+    near-singular pivot.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.matrix).all())
+
+    @property
+    def scale(self) -> float:
+        """The largest diagonal magnitude, at least one: the unit of the ridge floor."""
+        return max(1.0, float(np.abs(np.diag(self.matrix)).max()))
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """``(H + tau I)⁻¹ rhs``, or ``LinAlgError`` when ``H + tau I`` is not
+        positive definite.
+
+        Cholesky is the definiteness test; the solution comes from one LU
+        solve of the ridged matrix, and an exact zero LU pivot on a matrix
+        that passed Cholesky (rounding can leave one) raises like a failed
+        Cholesky.
+        """
+        ridged = self.matrix + tau * np.eye(self.matrix.shape[0]) if tau else self.matrix
+        np.linalg.cholesky(ridged)
+        return np.linalg.solve(ridged, rhs)
+
+
+#: a diagonal entry of a :class:`_DiagonalLowRankSystem` at most this share
+#: of its low-rank term is a near-singular pivot, which the dense solve handles
+PIVOT_RTOL = 1e-10
+
+
+class _DiagonalLowRankSystem:
+    """``H = diag(h) + Jᵀ S⁻² J`` held in that structure, ``J`` of few rows.
+
+    ``h`` is ``first`` plus each of ``rest``; the dense matrix adds ``first``,
+    then ``Jᵀ S⁻² J``, then each of ``rest``, the order the barrier's dense
+    Hessian is assembled in, so that :meth:`dense` returns its floats.  A
+    solve costs ``O(n m²)`` for ``m`` rows and forms no ``n × n`` array.
+
+    ``H + tau I`` is positive definite exactly when its diagonal ``d = h +
+    tau`` and the capacitance ``C = I + V diag(d)⁻¹ Vᵀ`` (``V = S⁻¹ J``)
+    have as many negative entries as negative eigenvalues and no zero: both
+    sides count the inertia of ``[[diag(d), Vᵀ], [V, -I]]`` (Haynsworth
+    inertia additivity).  The direction then follows by Woodbury.  When a
+    diagonal entry is a near-singular pivot, or cancellation leaves ``C``
+    near-singular, the dense matrix is solved instead.
+    """
+
+    def __init__(self, first, jac, slack, *rest):
+        self._parts = first, jac, slack, rest
+        h = first
+        for term in rest:
+            h = h + term
+        self.h = h
+        self.rows = jac / slack[:, None]  # V: H = diag(h) + Vᵀ V
+        self.row_diagonal = (self.rows**2).sum(axis=0)
+        self._pivot_floor = PIVOT_RTOL * self.row_diagonal
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.h).all() and np.isfinite(self.row_diagonal).all())
+
+    @property
+    def scale(self) -> float:
+        """The largest diagonal magnitude, at least one: the unit of the ridge floor."""
+        return max(1.0, float(np.abs(self.h + self.row_diagonal).max()))
+
+    def dense(self) -> np.ndarray:
+        """The assembled ``n × n`` matrix."""
+        first, jac, slack, rest = self._parts
+        matrix = (jac.T / slack**2) @ jac
+        k = np.arange(matrix.shape[0])
+        diagonal = first + matrix[k, k]
+        for term in rest:
+            diagonal = diagonal + term
+        matrix[k, k] = diagonal
+        return matrix
+
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """``(H + tau I)⁻¹ rhs``, or ``LinAlgError`` when ``H + tau I`` is not
+        positive definite."""
+        d = self.h + tau if tau else self.h
+        if not (np.abs(d) > self._pivot_floor).all():
+            return _DenseSystem(self.dense()).solve(rhs, tau)
+        V = self.rows
+        scaled = V / d  # V diag(d)⁻¹
+        capacitance = scaled @ V.T
+        capacitance.flat[:: V.shape[0] + 1] += 1.0  # plus the identity
+        eigenvalues, basis = np.linalg.eigh(capacitance)
+        negative = np.count_nonzero(d < 0.0)
+        if negative:
+            # with negative pivots the capacitance is a difference of terms
+            # up to this size; an eigenvalue lost in its rounding has no sign
+            spread = 1.0 + float((np.abs(scaled) @ np.abs(V).T).max())
+            if np.abs(eigenvalues).min() <= 1e-8 * spread:
+                return _DenseSystem(self.dense()).solve(rhs, tau)
+        if np.count_nonzero(eigenvalues < 0.0) != negative:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        def woodbury(r):
+            return (r - V.T @ (basis @ ((basis.T @ (scaled @ r)) / eigenvalues))) / d
+
+        # Woodbury loses about eps / min(d / diag H) to cancellation; one
+        # refinement step on the residual wins that back
+        x = woodbury(rhs)
+        return x + woodbury(rhs - d * x - V.T @ (V @ x))
+
+
+def _newton_direction(system, grad: np.ndarray) -> np.ndarray:
     """Solve for a descent direction, ridging the Hessian up to definiteness.
 
-    Cholesky is the definiteness test; when the barrier Hessian is indefinite
-    (the weighted objective need not be concave above the certified revenue
-    weight) a growing multiple of the identity blends the step toward
-    steepest descent.  The direction comes from one LU solve of the ridged
-    matrix; an exact zero LU pivot on a matrix that passed Cholesky (rounding
-    can leave one) ridges further, like a failed Cholesky.
+    ``system.solve`` fails unless the ridged Hessian is positive definite;
+    when the barrier Hessian is indefinite (the weighted objective need not
+    be concave above the certified revenue weight) a growing multiple of
+    the identity, from a floor of ``1e-10 * system.scale``, blends the step
+    toward steepest descent.
     """
     tau = 0.0
     for _ in range(40):
-        ridged = hess + tau * np.eye(hess.shape[0]) if tau else hess
         try:
-            np.linalg.cholesky(ridged)
-            direction = np.linalg.solve(ridged, -grad)
+            direction = system.solve(-grad, tau)
             if np.isfinite(direction).all() and grad @ direction < 0.0:
                 return direction
         except np.linalg.LinAlgError:
             pass
         if not tau:
-            floor = 1e-10 * max(1.0, float(np.abs(np.diag(hess)).max()))
+            floor = 1e-10 * system.scale
         tau = max(floor, tau * 4.0)
     return -grad  # last resort: steepest descent
 
@@ -411,15 +555,16 @@ def _newton_minimize(
     """Damped Newton with backtracking on a barrier function.
 
     ``value_of(point)`` is the barrier's value (``inf`` outside its domain)
-    and ``derivatives_of(point)`` its gradient and Hessian.  Returns the
-    final point, the steps taken and whether the Newton decrement settled.
+    and ``derivatives_of(point)`` its gradient and Newton system (see
+    :class:`_DenseSystem`).  Returns the final point, the steps taken and
+    whether the Newton decrement settled.
     """
     value = value_of(point)
     for iteration in range(max_iterations):
-        grad, hess = derivatives_of(point)
-        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+        grad, system = derivatives_of(point)
+        if not (np.isfinite(grad).all() and system.finite()):
             return point, iteration, False
-        direction = _newton_direction(hess, grad)
+        direction = _newton_direction(system, grad)
         slope = float(grad @ direction)
         decrement = -slope
         if decrement / 2.0 <= 1e-10 * (1.0 + abs(value)):
@@ -454,8 +599,8 @@ def _newton_minimize(
                 return point, iteration, settled
         point = point + step * direction
         value = cand_value
-    grad, hess = derivatives_of(point)
-    direction = _newton_direction(hess, grad)
+    grad, system = derivatives_of(point)
+    direction = _newton_direction(system, grad)
     converged = bool(-float(grad @ direction) / 2.0 <= 1e-6 * (1.0 + abs(value)))
     return point, max_iterations, converged
 
@@ -471,28 +616,46 @@ def barrier_optimize(
 ) -> SolveResult:
     """Maximize ``nu * revenue + F_beta`` over the plan's prices.
 
-    Finds a strictly feasible starting price vector internally, then runs
-    the log-barrier method with damped Newton inner solves until the
-    barrier gap, relative to the objective, is at most ``tolerance`` (finite
-    and positive).  Inner-solver stagnation yields a non-converged result
-    carrying diagnostics rather than an exception; an empty feasible
-    interior raises :class:`InfeasibleError`.
+    A bundled plan has one price, and every net utility and ``F_beta`` fall
+    as it rises while revenue cannot rise (``q <= 0``), so its optimum is
+    the lowest price that fills the bundles, for every ``nu`` and ``beta``:
+    the solve returns that price (:func:`bundled_price_bisection`) with
+    ``iterations=0`` and ``gap=0.0``, running no barrier ladder.
+
+    Other plans start from a strictly feasible price vector found
+    internally, then run the log-barrier method with damped Newton inner
+    solves until the barrier gap, relative to the objective, is at most
+    ``tolerance`` (finite and positive).  Inner-solver stagnation yields a
+    non-converged result carrying diagnostics rather than an exception; an
+    empty feasible interior raises :class:`InfeasibleError`.
 
     ``start`` (positive prices of this plan, such as a neighbouring
     market's optimum) is tried first, scaled to 99% of the binding
     capacity; if its ladder stalls, the solve goes on exactly as without it.
+    A bundled solve checks it and has no use for it.
     """
     _check_tolerance(tolerance)
     problem = _PriceProblem(instance, plan_kind, bundle)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (problem.dim,) or not np.all((start > 0.0) & (start < math.inf)):
+            raise ValueError(f"start must hold {problem.dim} positive finite prices")
 
     best, iterations = None, 0
-    for prices in _start_candidates(problem, spec, start):
-        result = _barrier_ladder(problem, spec, tolerance, prices)
-        iterations += result.iterations
-        if best is None or result.beats(best):
-            best = result
-        if result.converged:  # alternates exist only to escape stalls
-            break
+    if problem.kind == "bundled":
+        prices = np.array([problem.level_for_load(1.0)])
+        value = problem.objective_value(spec, problem.costs(prices))
+        if not math.isfinite(value):
+            raise _no_finite_objective(spec)
+        best = _LadderResult(prices, 0, value, 0.0, True, "")
+    else:
+        for prices in _start_candidates(problem, spec, start):
+            result = _barrier_ladder(problem, spec, tolerance, prices)
+            iterations += result.iterations
+            if best is None or result.beats(best):
+                best = result
+            if result.converged:  # alternates exist only to escape stalls
+                break
 
     if not best.converged and problem.dim <= 4:
         # basin escape for the uncertified nonconvex regime: probe a coarse
@@ -540,9 +703,6 @@ def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
         return _barrier_value(problem, spec, 0.0, prices, math.inf) < math.inf
 
     if warm is not None:
-        warm = np.asarray(warm, dtype=float)
-        if warm.shape != (problem.dim,) or not np.all((warm > 0.0) & (warm < math.inf)):
-            raise ValueError(f"start must hold {problem.dim} positive finite prices")
         warm = problem.level_for_load(0.99, warm) * warm
         if usable(warm):
             yield warm
@@ -573,7 +733,7 @@ def _barrier_path(value_of, derivatives_of, point, t, gap_of, tolerance, rounds)
 
     Each round centers at the current weight with damped Newton
     (``value_of(point, t)`` and ``derivatives_of(point, t)`` are the barrier
-    and its gradient and Hessian), then stops once ``gap_of(point, t)`` is at
+    and its gradient and Newton system), then stops once ``gap_of(point, t)`` is at
     most ``tolerance`` or multiplies ``t`` by :data:`BARRIER_GROWTH`.  Returns
     the final point, the Newton steps taken, the last gap and a message that
     is empty exactly when the gap closed.
@@ -613,11 +773,8 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # would otherwise let the barrier drag prices toward the box center, and
     # the way back is thousands of damped steps.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
-        obj_slope = float(
-            np.linalg.norm(
-                problem.D.T @ problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
-            )
-        )
+        slopes = problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
+        obj_slope = float(np.linalg.norm(slopes if problem.D is None else problem.D.T @ slopes))
     barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, prices, ceiling)
     barrier_slope = float(np.linalg.norm(barrier_grad))
     t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
@@ -651,7 +808,8 @@ def bundled_price_bisection(instance: Instance, bundle=None) -> float:
     The weighted objective under bundled pricing is maximized at the lowest
     feasible price for every revenue weight, so the optimum reduces to a
     one-dimensional root of the bundle-count constraint, found by geometric
-    bisection to float resolution.
+    bisection to float resolution.  :func:`barrier_optimize` returns this
+    price for a bundled plan.
     """
     return float(_PriceProblem(instance, "bundled", bundle).level_for_load(1.0))
 
@@ -669,7 +827,7 @@ def _grid_search(problem: _PriceProblem, spec: ObjectiveSpec, axes, limits):
     P = np.stack([axes[d][coords[d]] for d in range(problem.dim)])  # (dim, c)
     beta, w = spec.beta, problem.w[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        R = problem.D @ P  # (n, c) per-job costs
+        R = problem.costs(P)  # (n, c) per-job costs
         valid = np.all(P > 0.0, axis=0) & np.all(R > 0.0, axis=0)
         valid &= np.all(problem.G @ problem.kernel.demand(R) <= limits[:, None], axis=0)
         utils = problem.kernel(R)

@@ -14,9 +14,10 @@ Billing is discounted (``r * x**gamma``) but physical usage is not: capacity
 is consumed at ``R_ij * x_j`` regardless of the discount.
 
 Each kind's price space is defined once, by :func:`plan_structure`: a matrix
-``D`` with per-job costs ``D @ prices`` and capacity rows ``G @ x <= limits``
-on the per-client demands ``x``.  Plan evaluation and the price optimizer
-both read it.
+``D`` with per-job costs ``D @ prices`` (none for differentiated plans, whose
+prices are the costs) and capacity rows ``G @ x <= limits`` on the
+per-client demands ``x``.  Plan evaluation and the price optimizer both
+read it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -178,9 +179,10 @@ class _Plan:
 
     def per_job_costs(self, instance: Instance) -> np.ndarray:
         D, _, _ = plan_structure(instance, self.kind, self.bundle)
-        if self.prices.size != D.shape[1]:
-            raise ValueError(f"expected {D.shape[1]} {self.kind} prices, got {self.prices.size}")
-        costs = D @ self.prices
+        expected = instance.n if D is None else D.shape[1]
+        if self.prices.size != expected:
+            raise ValueError(f"expected {expected} {self.kind} prices, got {self.prices.size}")
+        costs = self.prices.copy() if D is None else D @ self.prices
         if np.any(costs <= 0.0):
             j = int(np.argmax(costs <= 0.0))
             raise ValueError(
@@ -282,7 +284,9 @@ def bundle_requirement(user: UserType, bundle) -> float:
     return float(np.max(user.requirements / _check_bundle(bundle, user.requirements.size)))
 
 
-def plan_structure(instance: Instance, kind: str, bundle=None) -> tuple[np.ndarray, ...]:
+def plan_structure(
+    instance: Instance, kind: str, bundle=None
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Cost map and capacity rows of a plan kind's price space.
 
     Returns ``(D, G, limits)``: the per-job costs of prices ``p`` are
@@ -290,7 +294,8 @@ def plan_structure(instance: Instance, kind: str, bundle=None) -> tuple[np.ndarr
     A bundled plan (``bundle`` defaults to the capacities) has one price,
     ``mu_j**gamma`` bundles' worth of cost per job and one row, the bundle
     count; resource and differentiated plans have one price per resource or
-    per type and one row per resource.
+    per type and one row per resource.  A differentiated plan's prices are
+    its per-job costs, so its ``D`` (the identity) is ``None``.
     """
     _check_plan_kind(kind)
     R = instance.requirement_matrix
@@ -301,7 +306,7 @@ def plan_structure(instance: Instance, kind: str, bundle=None) -> tuple[np.ndarr
         mu = np.max(R / b[:, None], axis=0)
         limits = np.array([float(np.min(capacities / b))])
         return (mu**instance.discount)[:, None], (counts * mu)[None, :], limits
-    D = (R**instance.discount).T if kind == "resource" else np.eye(instance.n)
+    D = (R**instance.discount).T if kind == "resource" else None
     return D, R * counts[None, :], capacities.copy()
 
 

@@ -28,6 +28,8 @@ from .optimizer import (
     grid_oracle,
     objective,
     tradeoff_bound_check,
+    _barrier_ladder,
+    _feasible_start,
     _PriceProblem,
 )
 from .pricing import (
@@ -531,22 +533,33 @@ def _check_oracle_reference(rng) -> CheckResult:
 
 
 def _check_bundled_invariance(rng) -> CheckResult:
+    """The closed-form bundled optimum against routes that share none of its code.
+
+    At each revenue weight the one-price barrier ladder, run from the
+    solver's start, must land on the closed-form price, and neither it nor
+    a grid of bundle prices may beat the closed form's objective.
+    """
     instance = google_cluster_instance()
-    prices = [
-        float(
-            barrier_optimize(instance, "bundled", ObjectiveSpec(nu=nu, beta=2.0), 1e-9)
-            .plan.price
-        )
-        for nu in (0.0, 1.0, 100.0)
-    ]
-    spread = (max(prices) - min(prices)) / min(prices)
-    root = bundled_price_bisection(instance)
-    gap = abs(prices[0] - root) / root
+    problem = _PriceProblem(instance, "bundled")
+    ok, price_gap, shortfall = True, 0.0, -np.inf
+    for nu in (0.0, 1.0, 100.0):
+        spec = ObjectiveSpec(nu=nu, beta=2.0)
+        closed = barrier_optimize(instance, "bundled", spec, 1e-9)
+        ladder = _barrier_ladder(problem, spec, 1e-9, _feasible_start(problem, spec))
+        ladder_price = float(ladder.prices[0])
+        axis = np.geomspace(ladder_price / 2.0, ladder_price * 2.0, 2001)
+        grid = grid_oracle(instance, "bundled", spec, [axis])
+        gap = abs(closed.plan.price - ladder_price) / ladder_price
+        short = max(ladder.value, grid.objective_value) - closed.objective_value
+        short /= max(1.0, abs(closed.objective_value))
+        ok &= closed.outcome.feasible and gap <= 1e-6 and short <= 1e-6
+        price_gap, shortfall = max(price_gap, gap), max(shortfall, short)
     return CheckResult(
         "bundled-price-weight-invariance",
         "oracle",
-        spread <= 1e-6 and gap <= 1e-6,
-        f"price spread {spread:.3e} across weights; bisection gap {gap:.3e}",
+        ok,
+        f"closed form vs the one-price ladder at nu 0, 1, 100: price gap {price_gap:.3e}; "
+        f"ladder or grid above it by at most {shortfall:.3e} relative",
     )
 
 

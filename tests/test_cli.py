@@ -4,7 +4,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from cloudpricing import verify
+from cloudpricing import optimizer, verify
 from cloudpricing.cli import _sweep_target, main
 from cloudpricing.optimizer import ObjectiveSpec, barrier_optimize
 from cloudpricing.pricing import instance_to_json, save_instance
@@ -670,6 +670,19 @@ class TestVerify:
         assert code != 0
         out = capsys.readouterr().out
         assert "[FAIL] demand-closed-form-vs-bisection" in out
+
+    def test_off_closed_form_bundled_price_fails(self, monkeypatch, capsys):
+        # a closed-form bundled price one part in ten thousand high must fail
+        # the check that compares it with the ladder and the grid
+        level = optimizer._PriceProblem.level_for_load
+
+        def off(problem, target, base=None):
+            scale = level(problem, target, base)
+            return scale * (1.0 + 1e-4) if target == 1.0 else scale
+
+        monkeypatch.setattr(optimizer._PriceProblem, "level_for_load", off)
+        assert main(["verify", "--scope", "oracle"]) != 0
+        assert "[FAIL] bundled-price-weight-invariance" in capsys.readouterr().out
 
     def test_unknown_scope_exit_one(self, capsys):
         assert main(["verify", "--scope", "nonsense"]) == 1
