@@ -203,6 +203,8 @@ class _PriceProblem:
         self.kernel = instance.utility_kernel()
         self.bill_weights = self.w * self.kernel.A  # revenue is their dot with r**q
         self.dim = instance.n if self.D is None else self.D.shape[1]
+        with np.errstate(divide="ignore"):  # -inf where a type needs none of a row
+            self.log_shares = np.log(self.G) - np.log(self.limits)[:, None]
 
     def make_plan(self, prices: np.ndarray) -> PricingPlan:
         if self.kind == "bundled":
@@ -226,10 +228,38 @@ class _PriceProblem:
         used = self.G @ self.kernel.demand(self.costs(prices))
         return float((used / self.limits).max())
 
-    def level_for_load(self, target: float, base=None):
-        """Smallest multiple of ``base`` (uniform prices by default) whose load is ``target``."""
+    def level_for_load(self, target: float, base=None, guess: float = 1.0):
+        """Smallest multiple of ``base`` (uniform prices by default) whose load is ``target``.
+
+        With ``c = costs(base)`` the load at scale ``e**x`` is ``max_i sum_j
+        a_ij * e**(e_j x)``, where ``log a_ij = log(G_ij / limits_i) + log k_j
+        + e_j log c_j``: Newton on its logarithm (:func:`_log_load_root`,
+        from ``log(guess)``) comes within a few ulps of the root, and
+        :func:`_bisect_load` halves a bracket around it, checked with the
+        exact float :meth:`load`, to the float the bisection from scale one
+        returns.
+        """
         base = np.ones(self.dim) if base is None else base
-        return _bisect_load(lambda scale: self.load(scale * base), target)
+        with np.errstate(divide="ignore"):
+            log_a = self.log_shares + (self.kernel.log_k + self.kernel.e * np.log(self.costs(base)))
+        root = _log_load_root(log_a, self.kernel.e, target, math.log(guess))
+        return _bisect_load(lambda scale: self.load(scale * base), target, root)
+
+    def own_costs(self, targets: np.ndarray) -> np.ndarray:
+        """Lowest per-job cost at which each type alone loads a row to its target.
+
+        A type's own load is the single power law ``k_j max_i(G_ij /
+        limits_i) r**e_j``, so each cost has a closed form, finished to the
+        exact float by :func:`_bisect_load`.
+        """
+
+        def own_loads(costs: np.ndarray) -> np.ndarray:
+            used = self.G * self.kernel.demand(costs)
+            return (used / self.limits[:, None]).max(axis=0)
+
+        shares = self.log_shares.max(axis=0)
+        roots = (np.log(targets) - shares - self.kernel.log_k) / self.kernel.e
+        return _bisect_load(own_loads, targets, roots)
 
     def objective_value(self, spec: ObjectiveSpec, costs: np.ndarray) -> float:
         """``nu * revenue + F_beta`` at the costs, ``-inf`` unless every net
@@ -262,19 +292,80 @@ class _PriceProblem:
         return first, second
 
 
-def _bisect_load(load, target):
+#: Newton steps allowed in a price-level search before it bisects from scale one
+LEVEL_STEPS = 100
+#: largest ``|log scale|`` that a level search finishes near its Newton root;
+#: up to ``e**300`` (``2**433``) the bisection from scale one meets the same
+#: float, while near its ``4**300`` limit its bracket products overflow
+LEVEL_LOG_RANGE = 300.0
+
+
+def _log_load_root(log_a: np.ndarray, slopes: np.ndarray, target: float, x: float = 0.0) -> float:
+    """Root ``x`` of ``log max_i sum_j exp(log_a[i, j] + slopes[j] * x) = log target``.
+
+    Each row is a log-sum-exp of affine functions with negative slopes
+    (demand exponents), so the left side is convex and strictly decreasing:
+    Newton climbs to the root from its left without overshoot and lands
+    left of it from its right.  A sign bracket guards against rounding: a
+    step that leaves it becomes a widening step of ``log 4`` or a halving
+    instead.  Returns ``nan`` when no finite root is found in
+    ``LEVEL_STEPS`` steps.
+    """
+    rows = log_a[(log_a > -math.inf).any(axis=1)]
+    if not (rows.size and 0.0 < target < math.inf):
+        return math.nan
+    goal = math.log(target)
+    low, high = -math.inf, math.inf  # log scales known above and not above the target
+    for _ in range(LEVEL_STEPS):
+        z = rows + slopes * x
+        top = z.max(axis=1)
+        weights = np.exp(z - top[:, None])
+        sums = weights.sum(axis=1)
+        values = top + np.log(sums)
+        i = int(values.argmax())
+        value = float(values[i])
+        if not math.isfinite(value):
+            return math.nan
+        step = (goal - value) * float(sums[i]) / float(weights[i] @ slopes)
+        if abs(step) <= 2.0**-40 * (1.0 + abs(x)):
+            return x + step
+        if value > goal:
+            low = x
+        else:
+            high = x
+        new = x + step
+        if not low < new < high:
+            if math.isinf(low) or math.isinf(high):
+                new = x + math.copysign(math.log(4.0), step)
+            else:
+                new = (low + high) / 2.0
+        x = new
+    return math.nan
+
+
+def _bisect_load(load, target, log_root=math.nan):
     """Smallest scales with load(scale) <= target, elementwise.
 
     ``load`` maps an array of scales to as many loads, each strictly
-    decreasing in its own scale and overflowing harmlessly at tiny scales.
-    The bracket widens geometrically from one by up to 4**300 each way,
-    then halvings of its log-width pin each scale to float resolution: they
-    stop once every midpoint rounds to an end of its bracket, since later
-    halvings would leave every bracket as it is, and after 96 at most.
+    decreasing in its own scale; at tiny scales demand overflows, or costs
+    round to zero and demand is infinite, which does no harm.
+    The bracket starts ``16 (1 + |log_root|)`` ulps either side of
+    ``exp(log_root)``, which covers the rounding of a log-domain root, or
+    at scale one where ``log_root`` is not finite or lies beyond
+    ``e**LEVEL_LOG_RANGE`` either way.  It widens geometrically by up to
+    4**300 each way until ``load(lo) > target > load(hi)``; then halvings
+    of its log-width pin each scale to float resolution.  They stop once
+    every midpoint rounds to an end of its bracket, since later halvings
+    would leave every bracket as it is, and after 96 at most.  Where the
+    float load crosses the target once, every bracket ends on the same
+    float.
     """
     target = np.asarray(target, dtype=float)
-    lo, hi = np.ones_like(target), np.ones_like(target)
-    with np.errstate(over="ignore"):
+    near = np.abs(log_root) <= LEVEL_LOG_RANGE  # false for nan
+    guess = np.exp(np.where(near, log_root, 0.0)) * np.ones_like(target)
+    width = np.where(near, 16.0 * np.finfo(float).eps * (1.0 + np.abs(log_root)), 0.0)
+    lo, hi = guess * (1.0 - width), guess * (1.0 + width)
+    with np.errstate(over="ignore", divide="ignore"):
         for _ in range(300):
             low = ~(load(lo) > target)
             if not low.any():
@@ -302,30 +393,28 @@ def _bisect_load(load, target):
 def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     """Strictly feasible prices with the binding usage ratio near one half.
 
-    Uniform prices are bisected to the target load for bundled and resource
-    plans.  Differentiated prices are set per type so each carries an equal
-    slice of its own binding resource: a uniform start can leave a type's
+    Bundled and resource plans start at the uniform price level of the
+    target load.  Differentiated prices are set per type so each carries an
+    equal slice of its own binding resource (:meth:`_PriceProblem.own_costs`),
+    then scaled to the target load: a uniform start can leave a type's
     demand negligible, and its flat objective coordinate then drifts on the
-    barrier instead of optimizing.  When positive net utilities, or an
+    barrier instead of optimizing.  Each level search after the first starts
+    from the level before it.  When positive net utilities, or an
     objective and cost derivatives inside the float range (``F_beta`` of
     tiny utilities at large ``beta`` is not), require lower prices than the
     half-capacity point allows, the target is relaxed toward the boundary.
     A start whose objective is finite but whose derivatives overflow is
     kept only when no target gives finite derivatives.
     """
-
-    def own_loads(prices: np.ndarray) -> np.ndarray:
-        """Each type's largest capacity share at its own price, alone."""
-        used = problem.G * problem.kernel.demand(prices)
-        return (used / problem.limits[:, None]).max(axis=0)
-
-    fallback = None
+    fallback, level = None, 1.0
     for target in (0.5, 0.8, 0.95, 0.99):
         if problem.kind == "differentiated":
-            base = _bisect_load(own_loads, np.full(problem.dim, target / problem.dim))
-            start = problem.level_for_load(target, base) * base
+            base = problem.own_costs(np.full(problem.dim, target / problem.dim))
+            level = problem.level_for_load(target, base, level)
+            start = level * base
         else:
-            start = np.full(problem.dim, problem.level_for_load(target))
+            level = problem.level_for_load(target, guess=level)
+            start = np.full(problem.dim, level)
         costs = problem.costs(start)
         if math.isfinite(problem.objective_value(spec, costs)):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -696,7 +785,7 @@ def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
     outside the domain (a uniform level can overload capacity that the
     balanced start respected, or higher prices can push F_beta out of the
     float range) are dropped.  The default start is computed only when it
-    is needed, so a converged warm ladder skips its bisection.
+    is needed, so a converged warm ladder skips its level searches.
     """
 
     def usable(prices: np.ndarray) -> bool:
@@ -807,9 +896,10 @@ def bundled_price_bisection(instance: Instance, bundle=None) -> float:
 
     The weighted objective under bundled pricing is maximized at the lowest
     feasible price for every revenue weight, so the optimum reduces to a
-    one-dimensional root of the bundle-count constraint, found by geometric
-    bisection to float resolution.  :func:`barrier_optimize` returns this
-    price for a bundled plan.
+    one-dimensional root of the bundle-count constraint, found to float
+    resolution by :meth:`_PriceProblem.level_for_load`: Newton on the log
+    of the load, then a bisection over a few ulps.  :func:`barrier_optimize`
+    returns this price for a bundled plan.
     """
     return float(_PriceProblem(instance, "bundled", bundle).level_for_load(1.0))
 

@@ -676,8 +676,8 @@ class TestVerify:
         # the check that compares it with the ladder and the grid
         level = optimizer._PriceProblem.level_for_load
 
-        def off(problem, target, base=None):
-            scale = level(problem, target, base)
+        def off(problem, target, base=None, guess=1.0):
+            scale = level(problem, target, base, guess)
             return scale * (1.0 + 1e-4) if target == 1.0 else scale
 
         monkeypatch.setattr(optimizer._PriceProblem, "level_for_load", off)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -505,11 +506,15 @@ def reference_bisect_load(load, target):
         if not low.any():
             break
         lo = np.where(low, lo / 4.0, lo)
+    else:
+        raise InfeasibleError("demand never reaches capacity at any positive price")
     for _ in range(300):
         high = ~(load(hi) < target)
         if not high.any():
             break
         hi = np.where(high, hi * 4.0, hi)
+    else:
+        raise InfeasibleError("no price high enough to fit demand inside capacity")
     for _ in range(96):
         mid = np.sqrt(lo * hi)
         above = load(mid) > target
@@ -627,28 +632,94 @@ class TestOracleMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
+        n=st.integers(1, 30),
         m=st.integers(1, 3),
-        log_types=st.integers(0, 63),
+        log_types=st.integers(0, 2**30 - 1),
         kind=st.sampled_from(["bundled", "resource", "differentiated"]),
+        log_target=st.one_of(st.floats(-4.6, 0.7), st.floats(-700.0, 700.0)),
     )
-    def test_bisection_stops_where_the_halvings_stop_moving(self, seed, n, m, log_types, kind):
+    def test_bisection_stops_where_the_halvings_stop_moving(
+        self, seed, n, m, log_types, kind, log_target
+    ):
+        # the level and the differentiated start's per-type costs are the
+        # floats the bisection from scale one returns, and raise where it
+        # does; far targets put the root beyond the Newton search's range
         instance, rng = self.market(seed, n, m, log_types)
         problem = _PriceProblem(instance, kind)
         base = np.exp(rng.uniform(-3.0, 3.0, problem.dim))
-        target = rng.uniform(0.01, 2.0)
+        target = math.exp(log_target)
 
-        def scaled(scale):
-            return problem.load(scale * base)
-
-        def own_loads(prices):  # the differentiated start's per-type loads
+        def own_loads(prices):
             return np.max(problem.G * problem.kernel.demand(prices) / problem.limits[:, None], 0)
 
-        targets = rng.uniform(1e-3, 1.0, n)
+        targets = target * rng.uniform(1e-3, 1.0, n)
+        searches = (
+            (lambda: problem.level_for_load(target, base),
+             lambda scale: problem.load(scale * base), target),
+            (lambda: problem.own_costs(targets), own_loads, targets),
+        )
+        for search, load, goal in searches:
+            with np.errstate(over="ignore", divide="ignore"):
+                try:
+                    expected = reference_bisect_load(load, goal)
+                except InfeasibleError as err:
+                    with pytest.raises(InfeasibleError, match=str(err)):
+                        search()
+                    continue
+            assert np.array_equal(search(), expected)
+
+    def test_level_search_reads_a_quarter_of_the_bisections_loads(self, monkeypatch):
+        # exact load evaluations are counted, not timed, so the bound repeats
+        rng = np.random.default_rng(20121015)
+        problems = []
+        for k in range(200):
+            instance = random_instance(rng, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 31)))
+            problem = _PriceProblem(instance, ("bundled", "resource", "differentiated")[k % 3])
+            problems.append((problem, np.exp(rng.uniform(-3.0, 3.0, problem.dim)),
+                             float(rng.uniform(0.01, 2.0))))
+        load, calls = _PriceProblem.load, [0]
+
+        def counted(problem, prices):
+            calls[0] += 1
+            return load(problem, prices)
+
+        monkeypatch.setattr(_PriceProblem, "load", counted)
+        for problem, base, target in problems:
+            problem.level_for_load(target, base)
+        searched, calls[0] = calls[0], 0
         with np.errstate(over="ignore"):
-            for load, goal in ((scaled, target), (own_loads, targets)):
-                expected = reference_bisect_load(load, goal)
-                assert np.array_equal(optimizer._bisect_load(load, goal), expected)
+            for problem, base, target in problems:
+                reference_bisect_load(lambda scale: problem.load(scale * base), target)
+        assert searched <= calls[0] / 4
+
+
+class TestPriceLevel:
+    """Price levels are found where a float load crosses its target."""
+
+    @staticmethod
+    def lopsided_market():
+        # at scale one the second type's demand overflows, and its zero cpu
+        # requirement times that demand is NaN
+        resources = ResourceModel(names=("cpu", "mem"), capacities=np.array([4.0, 1.0]))
+        types = tuple(
+            UserType(label, 1, np.array(need), UtilityParams(0.5, 1.0))
+            for label, need in (("a", [1.0, 0.0]), ("b", [0.0, 1e-160]))
+        )
+        return Instance(resources=resources, user_types=types, discount=1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_level_past_a_nan_load(self):
+        problem = _PriceProblem(self.lopsided_market(), "resource")
+        scale = float(problem.level_for_load(0.5))
+        assert scale == pytest.approx(math.sqrt(2.0) * 1e80, rel=1e-12)
+        ones = np.ones(problem.dim)
+        assert problem.load(scale * ones) <= 0.5 < problem.load(np.nextafter(scale, 0.0) * ones)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["bundled", "resource", "differentiated"])
+    def test_no_false_infeasible_verdict(self, kind):
+        result = barrier_optimize(self.lopsided_market(), kind, ObjectiveSpec(1.0, 2.0))
+        assert np.all(np.isfinite(result.outcome.demands))
 
 
 class TestNewtonDirection:
