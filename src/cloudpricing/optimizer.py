@@ -19,12 +19,15 @@ never binds at an optimum), then increase ``t`` by ``BARRIER_GROWTH`` per
 round until the barrier gap falls below ``tolerance`` relative to the
 objective's magnitude at the current iterate.  Fairness exponents make
 objective values span many orders of magnitude along the path, so both the
-initial weight and the stopping test adapt to the local scale.  Each
-Newton system is solved in its own structure: resource plans have a few
-prices and a dense system, while a differentiated plan's Hessian is a
-diagonal plus one low-rank term per capacity row, solved in ``O(n m²)``
-without forming an ``n × n`` matrix.  The same central-path loop, with the
-same damped Newton, solves the deadline module's schedule repair.
+initial weight and the stopping test adapt to the local scale.  Each plan
+kind takes its Newton steps in its own coordinates and solves each Newton
+system in its own structure: resource plans have a few prices and a dense
+system in price space, while a differentiated plan, whose prices are its
+per-type costs, steps in ``u = log p`` (prices move by factors) on a
+system that is a diagonal plus one low-rank term per capacity row, solved
+in ``O(n m²)`` without forming an ``n × n`` matrix.  The same central-path
+loop, with the same damped Newton, solves the deadline module's schedule
+repair.
 
 A brute-force grid search over the same objective is provided as an
 independent verification oracle, along with the closed-form concavity
@@ -189,7 +192,8 @@ class _PriceProblem:
     per-type quantity is a power law of its cost (``kernel``), so first and
     second derivatives in price space are congruence transforms of per-type
     scalar derivatives by ``D``.  A differentiated plan's prices are its
-    costs: its ``D`` is ``None`` and never formed.  The barrier calls these
+    costs: its ``D`` is ``None`` and never formed, and its barrier steps in
+    log prices (:meth:`point`), on elasticities.  The barrier calls these
     many times per solve: each power of the costs is formed once per point,
     and the float-error state once per call, by the caller where a method
     says so.
@@ -203,6 +207,7 @@ class _PriceProblem:
         self.kernel = instance.utility_kernel()
         self.bill_weights = self.w * self.kernel.A  # revenue is their dot with r**q
         self.dim = instance.n if self.D is None else self.D.shape[1]
+        self.log_prices = self.D is None  # the Newton coordinates of :meth:`point`
         with np.errstate(divide="ignore"):  # -inf where a type needs none of a row
             self.log_shares = np.log(self.G) - np.log(self.limits)[:, None]
 
@@ -212,6 +217,15 @@ class _PriceProblem:
         if self.kind == "resource":
             return ResourcePlan(prices=prices)
         return DifferentiatedPlan(prices=prices)
+
+    def point(self, prices: np.ndarray) -> np.ndarray:
+        """The barrier's Newton coordinates of the prices: their logarithms
+        for a differentiated plan, the prices themselves otherwise."""
+        return np.log(prices) if self.log_prices else prices
+
+    def prices(self, point: np.ndarray) -> np.ndarray:
+        """The prices at a point of :meth:`point`'s coordinates."""
+        return np.exp(point) if self.log_prices else point
 
     def costs(self, prices: np.ndarray) -> np.ndarray:
         """Per-job costs ``D @ prices`` (the prices themselves when ``D`` is ``None``)."""
@@ -289,6 +303,27 @@ class _PriceProblem:
         fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
         first = self.w * (nu * rev1 + fair1)
         second = self.w * (nu * rev2 + fair2)
+        return first, second
+
+    def objective_log_derivatives(
+        self, spec: ObjectiveSpec, costs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``r f'`` and ``r² f''`` of the objective ``f`` per per-job cost ``r``
+        (callers ignore overflow and invalid operations).
+
+        With the bill ``B = A r**q``, the elasticities are ``r B' = q B`` and
+        ``r² B'' = q (q - 1) B`` for revenue, and ``-B`` and ``-(q - 1) B``
+        for the surplus.
+        """
+        beta, q = spec.beta, self.kernel.q
+        powered = costs**q
+        utils = self.kernel(costs, powered)
+        bills = self.kernel.A * powered
+        um_b = utils**-beta
+        first = self.w * bills * (spec.nu * q - um_b)
+        second = self.w * bills * (
+            (q - 1.0) * (spec.nu * q - um_b) - beta * um_b * bills / utils
+        )
         return first, second
 
 
@@ -435,8 +470,11 @@ def _no_finite_objective(spec: ObjectiveSpec) -> InfeasibleError:
     )
 
 
-def _barrier_value(problem, spec, t_scaled, prices, ceiling) -> float:
-    """The barrier function at the prices, ``inf`` outside its domain."""
+def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
+    """The barrier function at a point of the problem's Newton coordinates
+    (:meth:`_PriceProblem.point`), ``inf`` outside its domain."""
+    with np.errstate(over="ignore"):
+        prices = problem.prices(point)
     if (prices <= 0.0).any() or (prices >= ceiling).any():
         return math.inf
     costs = problem.costs(prices)
@@ -449,57 +487,79 @@ def _barrier_value(problem, spec, t_scaled, prices, ceiling) -> float:
         value = problem._objective(spec, costs)
     if not math.isfinite(value):
         return math.inf
+    logs = point if problem.log_prices else np.log(prices)
     return (
         -t_scaled * value
         - float(np.log(slack).sum())
-        - float(np.log(prices).sum())
+        - float(logs.sum())
         - float(np.log(ceiling - prices).sum())
     )
 
 
-def _barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
-    """Gradient and Newton system of the barrier function in price space.
+def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
+    """Gradient and Newton system of the barrier function at a point of the
+    problem's Newton coordinates.
 
-    The Hessian is ``-t Dᵀ diag(obj'') D + Jᵀ S⁻² J + Dᵀ diag(curvature) D``
-    plus the box terms, with ``J`` the usage Jacobian (one row per capacity
-    row) and ``S`` the slacks.  A differentiated plan's ``D`` is the
-    identity, so all but ``Jᵀ S⁻² J`` is diagonal and its system keeps that
-    structure; the other plans have a few prices and a dense system.
+    In price space the Hessian is ``-t Dᵀ diag(obj'') D + Jᵀ S⁻² J + Dᵀ
+    diag(curvature) D`` plus the box terms, with ``J`` the usage Jacobian
+    (one row per capacity row) and ``S`` the slacks; resource plans have a
+    few prices and solve it as a dense system.  A differentiated plan steps
+    in ``u = log p`` (:func:`_log_barrier_derivatives`).
     """
+    if problem.log_prices:
+        return _log_barrier_derivatives(problem, spec, t_scaled, point, ceiling)
+    prices, D = point, problem.D
     costs = problem.costs(prices)
-    D = problem.D
     with np.errstate(over="ignore", invalid="ignore"):
         x1, x2 = problem.kernel.derivatives("demand", costs)
         slack = problem.slacks(costs)
         obj1, obj2 = problem.objective_cost_derivatives(spec, costs)
         curvature = (problem.G * x2[None, :]) / slack[:, None]  # sum_i (d2 usage)/slack
-        box = 1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2
-        if D is None:
-            jac = problem.G * x1[None, :]  # d usage_i / d p
-            grad = -t_scaled * obj1
-        else:
-            jac = (problem.G * x1[None, :]) @ D
-            grad = -t_scaled * (D.T @ obj1)
+        jac = (problem.G * x1[None, :]) @ D
+        grad = -t_scaled * (D.T @ obj1)
         grad += jac.T @ (1.0 / slack)
         grad -= 1.0 / prices
         grad += 1.0 / (ceiling - prices)
-        if D is None:
-            return grad, _DiagonalLowRankSystem(
-                -t_scaled * obj2, jac, slack, curvature.sum(axis=0), box
-            )
         hess = -t_scaled * (D.T * obj2) @ D
         hess += (jac.T / slack**2) @ jac
         hess += (D.T * curvature.sum(axis=0)) @ D
-        hess += np.diag(box)
+        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
     return grad, _DenseSystem(hess)
+
+
+def _log_barrier_derivatives(problem, spec, t_scaled, logs, ceiling):
+    """Gradient and Newton system of a differentiated plan's barrier in ``u = log p``.
+
+    Its prices are its costs, so every per-type derivative is an elasticity:
+    ``r x' = e x`` and ``r² x'' = e (e - 1) x`` for demand, and likewise
+    for the objective (:meth:`_PriceProblem.objective_log_derivatives`);
+    none overflows where its power law does not.  The gradient is ``P g``
+    for the price-space gradient ``g`` and ``P = diag(p)``.  The system is
+    ``P H P``: the u-Hessian without its first-order term ``diag(P g)``,
+    which vanishes at each centre, so the Newton decrement is the one in
+    price space.  All of it but ``P Jᵀ S⁻² J P`` is diagonal, and it is held
+    as a :class:`_DiagonalLowRankSystem`.
+    """
+    e = problem.kernel.e
+    with np.errstate(over="ignore", invalid="ignore"):
+        prices = np.exp(logs)
+        demand = problem.kernel.demand(prices)
+        slack = problem.limits - problem.G @ demand
+        obj1, obj2 = problem.objective_log_derivatives(spec, prices)
+        jac = problem.G * (e * demand)  # d usage_i / d u_j
+        curvature = (problem.G * (e * (e - 1.0) * demand)) / slack[:, None]
+        ratio = prices / (ceiling - prices)
+        grad = -t_scaled * obj1 + jac.T @ (1.0 / slack) - 1.0 + ratio
+        h = -t_scaled * obj2 + curvature.sum(axis=0) + (1.0 + ratio**2)
+        system = _DiagonalLowRankSystem(h, jac, slack)
+    return grad, system
 
 
 class _DenseSystem:
     """A Newton system ``H d = rhs`` held as its assembled matrix.
 
     Resource plans (a few prices) and the deadline repair solve their
-    systems this way, and a differentiated system falls back to it at a
-    near-singular pivot.
+    systems this way.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -510,11 +570,8 @@ class _DenseSystem:
 
     @property
     def scale(self) -> float:
-        """The largest diagonal magnitude, at least one: the unit of the ridge floor."""
-        return max(1.0, float(np.abs(np.diag(self.matrix)).max()))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
+        """The largest diagonal magnitude: the unit of the ridge floor."""
+        return float(np.abs(np.diag(self.matrix)).max())
 
     def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
         """``(H + tau I)⁻¹ rhs``, or ``LinAlgError`` when ``H + tau I`` is not
@@ -531,17 +588,14 @@ class _DenseSystem:
 
 
 #: a diagonal entry of a :class:`_DiagonalLowRankSystem` at most this share
-#: of its low-rank term is a near-singular pivot, which the dense solve handles
+#: of its low-rank term is a near-singular pivot, which the solve declines
 PIVOT_RTOL = 1e-10
 
 
 class _DiagonalLowRankSystem:
     """``H = diag(h) + Jᵀ S⁻² J`` held in that structure, ``J`` of few rows.
 
-    ``h`` is ``first`` plus each of ``rest``; the dense matrix adds ``first``,
-    then ``Jᵀ S⁻² J``, then each of ``rest``, the order the barrier's dense
-    Hessian is assembled in, so that :meth:`dense` returns its floats.  A
-    solve costs ``O(n m²)`` for ``m`` rows and forms no ``n × n`` array.
+    A solve costs ``O(n m²)`` for ``m`` rows and forms no ``n × n`` array.
 
     ``H + tau I`` is positive definite exactly when its diagonal ``d = h +
     tau`` and the capacitance ``C = I + V diag(d)⁻¹ Vᵀ`` (``V = S⁻¹ J``)
@@ -549,14 +603,11 @@ class _DiagonalLowRankSystem:
     sides count the inertia of ``[[diag(d), Vᵀ], [V, -I]]`` (Haynsworth
     inertia additivity).  The direction then follows by Woodbury.  When a
     diagonal entry is a near-singular pivot, or cancellation leaves ``C``
-    near-singular, the dense matrix is solved instead.
+    near-singular, the solve raises ``LinAlgError`` like an indefinite
+    system, and :func:`_newton_direction` ridges it.
     """
 
-    def __init__(self, first, jac, slack, *rest):
-        self._parts = first, jac, slack, rest
-        h = first
-        for term in rest:
-            h = h + term
+    def __init__(self, h, jac, slack):
         self.h = h
         self.rows = jac / slack[:, None]  # V: H = diag(h) + Vᵀ V
         self.row_diagonal = (self.rows**2).sum(axis=0)
@@ -567,26 +618,15 @@ class _DiagonalLowRankSystem:
 
     @property
     def scale(self) -> float:
-        """The largest diagonal magnitude, at least one: the unit of the ridge floor."""
-        return max(1.0, float(np.abs(self.h + self.row_diagonal).max()))
-
-    def dense(self) -> np.ndarray:
-        """The assembled ``n × n`` matrix."""
-        first, jac, slack, rest = self._parts
-        matrix = (jac.T / slack**2) @ jac
-        k = np.arange(matrix.shape[0])
-        diagonal = first + matrix[k, k]
-        for term in rest:
-            diagonal = diagonal + term
-        matrix[k, k] = diagonal
-        return matrix
+        """The largest diagonal magnitude: the unit of the ridge floor."""
+        return float(np.abs(self.h + self.row_diagonal).max())
 
     def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
         """``(H + tau I)⁻¹ rhs``, or ``LinAlgError`` when ``H + tau I`` is not
         positive definite."""
         d = self.h + tau if tau else self.h
         if not (np.abs(d) > self._pivot_floor).all():
-            return _DenseSystem(self.dense()).solve(rhs, tau)
+            raise np.linalg.LinAlgError("near-singular pivot")
         V = self.rows
         scaled = V / d  # V diag(d)⁻¹
         capacitance = scaled @ V.T
@@ -598,7 +638,7 @@ class _DiagonalLowRankSystem:
             # up to this size; an eigenvalue lost in its rounding has no sign
             spread = 1.0 + float((np.abs(scaled) @ np.abs(V).T).max())
             if np.abs(eigenvalues).min() <= 1e-8 * spread:
-                return _DenseSystem(self.dense()).solve(rhs, tau)
+                raise np.linalg.LinAlgError("capacitance lost to cancellation")
         if np.count_nonzero(eigenvalues < 0.0) != negative:
             raise np.linalg.LinAlgError("matrix is not positive definite")
 
@@ -789,7 +829,7 @@ def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
     """
 
     def usable(prices: np.ndarray) -> bool:
-        return _barrier_value(problem, spec, 0.0, prices, math.inf) < math.inf
+        return _barrier_value(problem, spec, 0.0, problem.point(prices), math.inf) < math.inf
 
     if warm is not None:
         warm = problem.level_for_load(0.99, warm) * warm
@@ -851,8 +891,9 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # an optimum, which always sits on the capacity wall far below it.
     ceiling = np.full(problem.dim, 1e4 * float(np.max(prices)))
     n_constraints = problem.limits.size + 2 * problem.dim
+    point = problem.point(prices)
 
-    if not math.isfinite(_barrier_value(problem, spec, 0.0, prices, ceiling)):
+    if not math.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling)):
         raise InfeasibleError("barrier ladder started outside the feasible domain")
     start_objective = problem.objective_value(spec, problem.costs(prices))
     scale = max(1.0, abs(start_objective))
@@ -860,11 +901,14 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # Balance the first barrier weight against the objective's slope so the
     # initial centering solution stays near the start; nearly-flat objectives
     # would otherwise let the barrier drag prices toward the box center, and
-    # the way back is thousands of damped steps.
+    # the way back is thousands of damped steps.  Both slopes are taken in
+    # price space, whatever coordinates the Newton steps take.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
         slopes = problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
         obj_slope = float(np.linalg.norm(slopes if problem.D is None else problem.D.T @ slopes))
-    barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, prices, ceiling)
+        barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point, ceiling)
+        if problem.log_prices:
+            barrier_grad = barrier_grad / prices
     barrier_slope = float(np.linalg.norm(barrier_grad))
     t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
 
@@ -872,15 +916,16 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # sits, not where it started: steep fairness exponents shrink |objective|
     # by many orders along the path, and a start-scaled tolerance would call
     # the solve done long before the capacity wall.
-    def gap_of(p, t):
-        value = problem.objective_value(spec, problem.costs(p))
+    def gap_of(z, t):
+        value = problem.objective_value(spec, problem.costs(problem.prices(z)))
         return (n_constraints / t) * scale / max(1.0, abs(value))
 
-    prices, iterations, gap, message = _barrier_path(
-        lambda p, t: _barrier_value(problem, spec, t / scale, p, ceiling),
-        lambda p, t: _barrier_derivatives(problem, spec, t / scale, p, ceiling),
-        prices, t, gap_of, tolerance, 300,
+    point, iterations, gap, message = _barrier_path(
+        lambda z, t: _barrier_value(problem, spec, t / scale, z, ceiling),
+        lambda z, t: _barrier_derivatives(problem, spec, t / scale, z, ceiling),
+        point, t, gap_of, tolerance, 300,
     )
+    prices = problem.prices(point)
     return _LadderResult(
         prices=prices,
         iterations=iterations,

@@ -44,6 +44,14 @@ from cloudpricing.verify import _shared_dominant_instance, central_difference_he
 TIGHT = 1e-9
 
 
+def assembled(system):
+    """The ``n × n`` matrix of a Newton system, which the solver never forms
+    for a differentiated plan."""
+    if isinstance(system, _DenseSystem):
+        return system.matrix
+    return np.diag(system.h) + system.rows.T @ system.rows
+
+
 class TestObjective:
     def test_zero_weight_is_pure_fairness(self, toy_instance):
         plan = DifferentiatedPlan(prices=np.array([0.6]))
@@ -137,7 +145,8 @@ class TestBarrier:
 
     def test_barrier_hessian_matches_central_differences(self, toy_instance, reference_instance):
         # the analytic Hessian against verify's finite differences of the
-        # barrier value, at the solver's start and at a point deeper inside
+        # barrier value in price space, at the solver's start and at a point
+        # deeper inside; a differentiated system in log prices is P H P
         spec = ObjectiveSpec(1.0, 2.0)
         for instance in (toy_instance, reference_instance):
             for kind in ("bundled", "resource", "differentiated"):
@@ -145,11 +154,16 @@ class TestBarrier:
                 start = _feasible_start(problem, spec)
                 ceiling = np.full(problem.dim, 1e4 * float(np.max(start)))
                 for prices, t_scaled in ((start, 1.0), (1.3 * start, 40.0)):
-                    _, system = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
-                    analytic = system.dense()
-                    numeric = central_difference_hessian(
-                        lambda p: _barrier_value(problem, spec, t_scaled, p, ceiling), prices
-                    )
+                    point = problem.point(prices)
+                    _, system = _barrier_derivatives(problem, spec, t_scaled, point, ceiling)
+                    analytic = assembled(system)
+
+                    def value(p):
+                        return _barrier_value(problem, spec, t_scaled, problem.point(p), ceiling)
+
+                    numeric = central_difference_hessian(value, prices)
+                    if problem.log_prices:
+                        numeric = prices[:, None] * numeric * prices[None, :]
                     scale = float(np.max(np.abs(analytic)))
                     assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale, (instance, kind)
 
@@ -493,6 +507,32 @@ def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
     return grad, hess
 
 
+def reference_log_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling):
+    """Sums of the absolute terms behind a differentiated barrier's value and
+    the entries of its gradient and ``P H P`` in log prices: the scale of
+    their rounding errors."""
+    G, w, beta = problem.G, problem.w, spec.beta
+    x1, x2 = problem.kernel.derivatives("demand", prices)
+    slack = problem.limits - G @ problem.kernel.demand(prices)
+    utils = problem.kernel(prices)
+    rev1, rev2 = problem.kernel.derivatives("bill", prices)
+    u1, u2 = problem.kernel.derivatives("surplus", prices)
+    t = abs(t_scaled)
+    objective = spec.nu * problem.kernel.bill(prices, w).sum()
+    objective += abs(beta_fairness(utils, beta, weights=w))
+    value = t * objective + np.abs(np.log(slack)).sum() + np.abs(np.log(prices)).sum()
+    value += np.abs(np.log(ceiling - prices)).sum()
+    um_b = utils**-beta
+    obj1 = w * (spec.nu * np.abs(rev1) + um_b * np.abs(u1))
+    obj2 = w * (spec.nu * np.abs(rev2) + beta * utils ** (-beta - 1.0) * u1**2 + um_b * np.abs(u2))
+    jac = np.abs(G * x1) * prices
+    ratio = prices / (ceiling - prices)
+    grad = t * prices * obj1 + jac.T @ (1.0 / slack) + 1.0 + ratio
+    curvature = ((G * np.abs(x2)) / slack[:, None]).sum(axis=0)
+    diagonal = prices**2 * (t * obj2 + curvature) + 1.0 + ratio**2
+    return value, grad, (jac.T / slack**2) @ jac + np.diag(diagonal)
+
+
 def reference_load(problem, prices):
     used = problem.G @ problem.kernel.demand(reference_cost_map(problem) @ prices)
     return float(np.max(used / problem.limits))
@@ -525,7 +565,7 @@ def reference_bisect_load(load, target):
 
 def reference_newton_direction(hess, grad):
     dim = hess.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
+    scale = float(np.max(np.abs(np.diag(hess))))
     tau = 0.0
     for _ in range(40):
         ridged = hess + tau * np.eye(dim)
@@ -598,29 +638,41 @@ class TestOracleMatchesReference:
             prices[rng.integers(problem.dim)] = 0.0
         elif where == "negative price":
             prices[rng.integers(problem.dim)] *= -1.0
-        elif where == "price above ceiling":
-            ceiling = np.full(problem.dim, float(np.median(prices)))
         elif where == "over capacity":
             prices /= 10.0  # at least ten times the start's demand, which is half a row
+        point = prices
+        if problem.log_prices:  # the oracle reads u = log p, and the prices exp(u)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                point = np.log(prices)
+            prices = np.exp(point)
+        if where == "price above ceiling":
+            ceiling = np.full(problem.dim, float(np.median(prices)))
 
         with np.errstate(all="ignore"):  # the reference's own warnings are not under test
             expected = reference_barrier_value(problem, spec, t_scaled, prices, ceiling)
-        value = _barrier_value(problem, spec, t_scaled, prices, ceiling)
-        assert value == expected or (np.isnan(value) and np.isnan(expected))
+            if problem.log_prices and expected < np.inf:
+                sizes = reference_log_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling)
+        value = _barrier_value(problem, spec, t_scaled, point, ceiling)
+        if problem.log_prices and np.isfinite(expected):
+            # log p is read as u itself, so the floats differ in rounding
+            assert abs(value - expected) <= 1e-12 * sizes[0]
+        else:
+            assert value == expected or (np.isnan(value) and np.isnan(expected))
         if where != "inside":
             assert value == expected == np.inf
         if expected < np.inf:  # inside the domain; -inf without a price ceiling
             with np.errstate(all="ignore"):
                 grad, hess = reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
-            new_grad, system = _barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
-            if kind == "differentiated" and not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-                # a product with the identity spreads a non-finite entry over
-                # its row as NaN; the structured system keeps it in place, and
-                # a Newton solve stops on either
-                assert not (np.isfinite(new_grad).all() and system.finite())
-            else:
+            new_grad, system = _barrier_derivatives(problem, spec, t_scaled, point, ceiling)
+            if not problem.log_prices:
                 assert np.array_equal(new_grad, grad, equal_nan=True)
-                assert np.array_equal(system.dense(), hess, equal_nan=True)
+                assert np.array_equal(assembled(system), hess, equal_nan=True)
+            elif np.isfinite(grad).all() and np.isfinite(hess).all():
+                # in u = log p the gradient is P g and the system P H P, formed
+                # from elasticities; price space may overflow where they do not
+                assert np.all(np.abs(new_grad - prices * grad) <= 1e-12 * sizes[1])
+                transformed = prices[:, None] * hess * prices[None, :]
+                assert np.all(np.abs(assembled(system) - transformed) <= 1e-12 * sizes[2])
         if np.all(prices > 0.0):
             costs = problem.costs(prices)
             with np.errstate(all="ignore"):
@@ -816,7 +868,7 @@ class TestDiagonalLowRankSystem:
     )
     def test_matches_the_dense_solve(self, seed, n, m, tau):
         system, grad = self.system(seed, n, m)
-        ridged = system.dense() + tau * np.eye(n)
+        ridged = assembled(system) + tau * np.eye(n)
         try:
             np.linalg.cholesky(ridged)
             definite = True
@@ -825,7 +877,17 @@ class TestDiagonalLowRankSystem:
         try:
             direction = system.solve(-grad, tau)
         except np.linalg.LinAlgError:
-            assert not definite
+            # the solve declines an indefinite system, a near-singular pivot,
+            # or, with negative pivots, a capacitance lost to cancellation;
+            # the Newton direction ridges each of them
+            d, V = system.h + tau, system.rows
+            pivot = (np.abs(d) <= optimizer.PIVOT_RTOL * system.row_diagonal).any()
+            cancelled = False
+            if not pivot and (d < 0.0).any():
+                capacitance = np.eye(m) + (V / d) @ V.T
+                spread = 1.0 + float((np.abs(V / d) @ np.abs(V).T).max())
+                cancelled = np.abs(np.linalg.eigvalsh(capacitance)).min() <= 1e-8 * spread
+            assert not definite or pivot or cancelled
             return
         assert definite
         residual = np.linalg.norm(ridged @ direction + grad)
@@ -1070,3 +1132,58 @@ class TestPlanDominance:
             )
             slack = 1e-2 * abs(resource.objective_value)  # grid resolution
             assert bundled.objective_value <= resource.objective_value + slack
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_differentiated_converges_at_scale(self, n):
+        # prices that move by factors (Newton steps in log prices) keep the
+        # barrier from stalling on wide markets
+        spec = ObjectiveSpec(1.0, 2.0)
+        for seed in range(5):
+            instance = random_instance(np.random.default_rng(seed), m=3, n=n)
+            res = barrier_optimize(instance, "resource", spec)
+            diff = barrier_optimize(instance, "differentiated", spec)
+            assert diff.converged, (seed, diff.message)
+            scale = max(1.0, abs(res.objective_value))
+            assert diff.objective_value >= res.objective_value - 1e-6 * scale, seed
+
+
+def scaled_units(instance, k):
+    """The market with requirements and capacities both multiplied by ``k``."""
+    resources = replace(instance.resources, capacities=k * instance.resources.capacities)
+    types = tuple(replace(u, requirements=k * u.requirements) for u in instance.user_types)
+    return replace(instance, resources=resources, user_types=types)
+
+
+class TestUnitInvariance:
+    """A change of resource units changes no per-job cost and no objective."""
+
+    @pytest.mark.parametrize("requirement", [1e-30, 1e-100])
+    def test_single_type_reproduces_the_bundled_cost(self, requirement):
+        # one type, one resource: every plan posts the cost that fills capacity
+        instance = Instance(
+            resources=ResourceModel(names=("r",), capacities=(1.0,)),
+            user_types=(UserType("a", 1, (requirement,), UtilityParams(0.5, 1.0)),),
+            discount=1.0,
+        )
+        spec = ObjectiveSpec(1.0, 2.0)
+        bundled = barrier_optimize(instance, "bundled", spec).outcome.per_job_costs[0]
+        for kind in ("resource", "differentiated"):
+            result = barrier_optimize(instance, kind, spec, TIGHT)
+            assert result.converged
+            cost = result.outcome.per_job_costs[0]
+            assert cost == pytest.approx(bundled, rel=1e-9, abs=0.0), kind
+
+    @pytest.mark.parametrize("beta", [2.0, 20.0])
+    @pytest.mark.parametrize("kind", ["resource", "differentiated"])
+    @pytest.mark.parametrize("market", ["reference", 0, 1, 2])
+    def test_scaling_requirements_and_capacities(self, market, kind, beta):
+        if market == "reference":
+            instance = google_cluster_instance()
+        else:
+            instance = random_instance(np.random.default_rng(market), m=2, n=3)
+        spec = ObjectiveSpec(1.0, beta)
+        base = barrier_optimize(instance, kind, spec)
+        for k in (1e8, 1e-8, 1e30, 1e-30, 1e100, 1e-100):
+            result = barrier_optimize(scaled_units(instance, k), kind, spec)
+            assert result.converged == base.converged, k
+            assert result.objective_value == pytest.approx(base.objective_value, rel=1e-9), k
