@@ -17,7 +17,9 @@ method: minimize
 by damped Newton (the price box keeps every centering problem bounded and
 never binds at an optimum), then increase ``t`` by ``BARRIER_GROWTH`` per
 round until the barrier gap falls below ``tolerance`` relative to the
-objective's magnitude at the current iterate.  Fairness exponents make
+objective's magnitude at the current iterate.  Only the last round's
+centre is returned, so the rounds before it are centred only to Newton's
+quadratic region (``CENTERING_DECREMENT``).  Fairness exponents make
 objective values span many orders of magnitude along the path, so both the
 initial weight and the stopping test adapt to the local scale.  Each plan
 kind takes its Newton steps in its own coordinates and solves each Newton
@@ -97,6 +99,10 @@ def _check_nu(nu: float) -> None:
 BARRIER_GROWTH = 20.0
 #: damped Newton steps allowed per centering solve
 NEWTON_STEPS = 80
+#: half squared Newton decrement at which a round whose gap is still open
+#: stops centering: inside Newton's quadratic region, where the next
+#: round's first steps finish what this one leaves
+CENTERING_DECREMENT = 1e-2
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -250,8 +256,9 @@ class _PriceProblem:
         + e_j log c_j``: Newton on its logarithm (:func:`_log_load_root`,
         from ``log(guess)``) comes within a few ulps of the root, and
         :func:`_bisect_load` halves a bracket around it, checked with the
-        exact float :meth:`load`, to the float the bisection from scale one
-        returns.
+        exact float :meth:`load`, to the float where the load crosses the
+        target (within ``e**±300``, the float the bisection from scale one
+        returns).
         """
         base = np.ones(self.dim) if base is None else base
         with np.errstate(divide="ignore"):
@@ -329,10 +336,6 @@ class _PriceProblem:
 
 #: Newton steps allowed in a price-level search before it bisects from scale one
 LEVEL_STEPS = 100
-#: largest ``|log scale|`` that a level search finishes near its Newton root;
-#: up to ``e**300`` (``2**433``) the bisection from scale one meets the same
-#: float, while near its ``4**300`` limit its bracket products overflow
-LEVEL_LOG_RANGE = 300.0
 
 
 def _log_load_root(log_a: np.ndarray, slopes: np.ndarray, target: float, x: float = 0.0) -> float:
@@ -386,18 +389,20 @@ def _bisect_load(load, target, log_root=math.nan):
     round to zero and demand is infinite, which does no harm.
     The bracket starts ``16 (1 + |log_root|)`` ulps either side of
     ``exp(log_root)``, which covers the rounding of a log-domain root, or
-    at scale one where ``log_root`` is not finite or lies beyond
-    ``e**LEVEL_LOG_RANGE`` either way.  It widens geometrically by up to
-    4**300 each way until ``load(lo) > target > load(hi)``; then halvings
-    of its log-width pin each scale to float resolution.  They stop once
-    every midpoint rounds to an end of its bracket, since later halvings
-    would leave every bracket as it is, and after 96 at most.  Where the
-    float load crosses the target once, every bracket ends on the same
-    float.
+    at scale one where ``exp(log_root)`` is not a finite positive float.
+    It widens geometrically by up to 4**300 each way until ``load(lo) >
+    target > load(hi)``; then halvings of its log-width pin each scale to
+    float resolution.  Each midpoint is ``sqrt(lo * hi)``, formed without
+    overflow or underflow.  The halvings stop once every midpoint rounds
+    to an end of its bracket, since later halvings would leave every
+    bracket as it is, and after 96 at most.  Where the float load crosses
+    the target once, every bracket ends on the same float.
     """
     target = np.asarray(target, dtype=float)
-    near = np.abs(log_root) <= LEVEL_LOG_RANGE  # false for nan
-    guess = np.exp(np.where(near, log_root, 0.0)) * np.ones_like(target)
+    with np.errstate(over="ignore"):
+        guess = np.exp(log_root) * np.ones_like(target)
+    near = (guess > 0.0) & (guess < math.inf)  # false for nan
+    guess = np.where(near, guess, 1.0)
     width = np.where(near, 16.0 * np.finfo(float).eps * (1.0 + np.abs(log_root)), 0.0)
     lo, hi = guess * (1.0 - width), guess * (1.0 + width)
     with np.errstate(over="ignore", divide="ignore"):
@@ -416,7 +421,10 @@ def _bisect_load(load, target, log_root=math.nan):
         else:
             raise InfeasibleError("no price high enough to fit demand inside capacity")
         for _ in range(96):
-            mid = np.sqrt(lo * hi)
+            # sqrt(lo * hi) with both ends scaled by a power of two, so the
+            # product stays a normal float and the rounding is unchanged
+            k = np.frexp(hi)[1]
+            mid = np.ldexp(np.sqrt(np.ldexp(lo, -k) * np.ldexp(hi, -k)), k)
             if ((mid == lo) | (mid == hi)).all():
                 break
             above = load(mid) > target
@@ -679,16 +687,24 @@ BACKTRACK_FACTOR = 0.5
 
 
 def _newton_minimize(
-    value_of, derivatives_of, point, max_iterations
+    value_of, derivatives_of, point, max_iterations, floor=0.0
 ) -> tuple[np.ndarray, int, bool]:
     """Damped Newton with backtracking on a barrier function.
 
     ``value_of(point)`` is the barrier's value (``inf`` outside its domain)
     and ``derivatives_of(point)`` its gradient and Newton system (see
     :class:`_DenseSystem`).  Returns the final point, the steps taken and
-    whether the Newton decrement settled.
+    whether the Newton decrement settled: half its square ``λ²/2`` at most
+    ``1e-10 * (1 + |value|)``, or at most ``floor`` when that is larger
+    (the loose centering of :func:`_barrier_path`).  A solve that runs out
+    of steps, or finds no acceptable step, settles at ``1e-6`` in place of
+    ``1e-10``.
     """
     value = value_of(point)
+
+    def settled(decrement: float, rtol: float) -> bool:  # at the current value
+        return decrement / 2.0 <= max(floor, rtol * (1.0 + abs(value)))
+
     for iteration in range(max_iterations):
         grad, system = derivatives_of(point)
         if not (np.isfinite(grad).all() and system.finite()):
@@ -696,7 +712,7 @@ def _newton_minimize(
         direction = _newton_direction(system, grad)
         slope = float(grad @ direction)
         decrement = -slope
-        if decrement / 2.0 <= 1e-10 * (1.0 + abs(value)):
+        if settled(decrement, 1e-10):
             return point, iteration, True
 
         def sufficient(step: float) -> tuple[bool, float]:
@@ -724,14 +740,12 @@ def _newton_minimize(
             else:
                 # no acceptable step: on a flat plateau a small predicted
                 # decrease that cannot be realized is convergence, not failure
-                settled = decrement / 2.0 <= 1e-6 * (1.0 + abs(value))
-                return point, iteration, settled
+                return point, iteration, settled(decrement, 1e-6)
         point = point + step * direction
         value = cand_value
     grad, system = derivatives_of(point)
     direction = _newton_direction(system, grad)
-    converged = bool(-float(grad @ direction) / 2.0 <= 1e-6 * (1.0 + abs(value)))
-    return point, max_iterations, converged
+    return point, max_iterations, settled(-float(grad @ direction), 1e-6)
 
 
 def barrier_optimize(
@@ -862,18 +876,34 @@ def _barrier_path(value_of, derivatives_of, point, t, gap_of, tolerance, rounds)
 
     Each round centers at the current weight with damped Newton
     (``value_of(point, t)`` and ``derivatives_of(point, t)`` are the barrier
-    and its gradient and Newton system), then stops once ``gap_of(point, t)`` is at
-    most ``tolerance`` or multiplies ``t`` by :data:`BARRIER_GROWTH`.  Returns
-    the final point, the Newton steps taken, the last gap and a message that
-    is empty exactly when the gap closed.
+    and its gradient and Newton system), then stops once ``gap_of(point, t)``
+    is at most ``tolerance`` or multiplies ``t`` by :data:`BARRIER_GROWTH`.
+    Only the last round's centre is returned, so a round whose gap is still
+    open centers loosely, to a half squared Newton decrement of
+    :data:`CENTERING_DECREMENT`, which keeps the next round's start inside
+    Newton's quadratic region (Boyd & Vandenberghe, *Convex Optimization*,
+    §11.3.3).  A round that closes the gap from a loose centre, or whose
+    start already closes it, centers tightly (:func:`_newton_minimize`'s
+    relative rule) and tests the gap again.  Returns the final point, the
+    Newton steps taken, the last gap and a message that is empty exactly
+    when the gap closed.
     """
+
+    def center(point, floor):  # at the current weight t
+        return _newton_minimize(
+            lambda p: value_of(p, t), lambda p: derivatives_of(p, t), point, NEWTON_STEPS, floor
+        )
+
     iterations, gap = 0, math.inf
     for _ in range(rounds):
-        point, steps, ok = _newton_minimize(
-            lambda p: value_of(p, t), lambda p: derivatives_of(p, t), point, NEWTON_STEPS
-        )
+        floor = CENTERING_DECREMENT if gap_of(point, t) > tolerance else 0.0
+        point, steps, ok = center(point, floor)
         iterations += steps
         gap = gap_of(point, t)
+        if ok and floor and gap <= tolerance:
+            point, steps, ok = center(point, 0.0)
+            iterations += steps
+            gap = gap_of(point, t)
         if not ok:
             stalled = f"inner Newton solve stalled at barrier weight t={t:.3g}"
             return point, iterations, gap, stalled
@@ -909,7 +939,7 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
         barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point, ceiling)
         if problem.log_prices:
             barrier_grad = barrier_grad / prices
-    barrier_slope = float(np.linalg.norm(barrier_grad))
+    barrier_slope = float(np.hypot.reduce(barrier_grad))  # a norm that cannot overflow
     t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
 
     # The gap test is relative to the objective where the iterate currently

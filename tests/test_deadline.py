@@ -521,6 +521,15 @@ def slack_horizon(T: int, slack: int, market: Instance | None = None) -> Interva
     )
 
 
+def test_loose_centering_keeps_the_repair_scale(monkeypatch):
+    # the repair's intermediate rounds center loosely; its answer does not move
+    spec = slack_horizon(8, 3)
+    loose = solve_horizon(spec, 2.0)
+    monkeypatch.setattr(optimizer, "CENTERING_DECREMENT", 0.0)
+    tight = solve_horizon(spec, 2.0)
+    assert loose.price_scale == pytest.approx(tight.price_scale, rel=1e-9, abs=0.0)
+
+
 def highs_schedulable(spec: IntervalDemandSpec, masses) -> bool:
     """Independent oracle: does HiGHS find a schedule delivering ``masses``?"""
     from scipy.optimize import linprog

@@ -693,9 +693,10 @@ class TestOracleMatchesReference:
     def test_bisection_stops_where_the_halvings_stop_moving(
         self, seed, n, m, log_types, kind, log_target
     ):
-        # the level and the differentiated start's per-type costs are the
-        # floats the bisection from scale one returns, and raise where it
-        # does; far targets put the root beyond the Newton search's range
+        # the level and the differentiated start's per-type costs are floats
+        # where the load crosses its target, and raise only where no price
+        # is found; within e**±300 they are the floats the bisection from
+        # scale one returns, and far targets put roots beyond its reach
         instance, rng = self.market(seed, n, m, log_types)
         problem = _PriceProblem(instance, kind)
         base = np.exp(rng.uniform(-3.0, 3.0, problem.dim))
@@ -715,10 +716,18 @@ class TestOracleMatchesReference:
                 try:
                     expected = reference_bisect_load(load, goal)
                 except InfeasibleError as err:
-                    with pytest.raises(InfeasibleError, match=str(err)):
-                        search()
-                    continue
-            assert np.array_equal(search(), expected)
+                    expected = err
+            try:
+                found = search()
+            except InfeasibleError as err:
+                assert str(err) == str(expected)
+                continue
+            with np.errstate(over="ignore", divide="ignore"):
+                assert np.all(load(found) <= goal)
+                assert np.all(load(np.nextafter(found, 0.0)) > goal)
+                if not isinstance(expected, InfeasibleError):
+                    near = np.abs(np.log(expected)) <= 300.0
+                    assert np.array_equal(found[near], expected[near])
 
     def test_level_search_reads_a_quarter_of_the_bisections_loads(self, monkeypatch):
         # exact load evaluations are counted, not timed, so the bound repeats
@@ -772,6 +781,34 @@ class TestPriceLevel:
     def test_no_false_infeasible_verdict(self, kind):
         result = barrier_optimize(self.lopsided_market(), kind, ObjectiveSpec(1.0, 2.0))
         assert np.all(np.isfinite(result.outcome.demands))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_level_beyond_e300(self):
+        # the level lies near e**-455, beyond 4**-300 from scale one
+        instance = Instance(
+            resources=ResourceModel(names=("r",), capacities=(1.0,)),
+            user_types=(UserType("a", 1, (1e-200,), UtilityParams(0.99, 1.0)),),
+            discount=1.0,
+        )
+        problem = _PriceProblem(instance, "differentiated")
+        scale = float(problem.level_for_load(0.5))
+        assert scale == 1.9861849908741302e-198
+        assert problem.load(np.array([scale])) == 0.5
+        assert problem.load(np.array([np.nextafter(scale, 0.0)])) > 0.5
+        result = barrier_optimize(instance, "differentiated", ObjectiveSpec(1.0, 2.0))
+        bundled = barrier_optimize(instance, "bundled", ObjectiveSpec(1.0, 2.0))
+        assert result.converged, result.message
+        cost = result.outcome.per_job_costs[0]
+        assert cost == pytest.approx(bundled.outcome.per_job_costs[0], rel=1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bundled_level_whose_bracket_product_overflows(self):
+        # the level lies near e**482, where lo * hi overflows a float
+        problem = _PriceProblem(google_cluster_instance(), "bundled")
+        scale = float(problem.level_for_load(4.2e-298))
+        assert 1e200 < scale < math.inf
+        assert problem.load(np.array([scale])) <= 4.2e-298
+        assert problem.load(np.array([np.nextafter(scale, 0.0)])) > 4.2e-298
 
 
 class TestNewtonDirection:
@@ -1187,3 +1224,26 @@ class TestUnitInvariance:
             result = barrier_optimize(scaled_units(instance, k), kind, spec)
             assert result.converged == base.converged, k
             assert result.objective_value == pytest.approx(base.objective_value, rel=1e-9), k
+
+
+class TestLooseCentering:
+    """Rounds whose gap stays open center only to Newton's quadratic region."""
+
+    @staticmethod
+    def solves():
+        for seed in range(12):
+            instance = random_instance(np.random.default_rng(seed))
+            for kind, beta, nu in itertools.product(
+                ("resource", "differentiated"), (2.0, 20.0), (0.0, 1.0)
+            ):
+                yield barrier_optimize(instance, kind, ObjectiveSpec(nu, beta))
+
+    def test_matches_tight_centering_in_fewer_steps(self, monkeypatch):
+        loose = list(self.solves())
+        monkeypatch.setattr(optimizer, "CENTERING_DECREMENT", 0.0)
+        tight = list(self.solves())
+        for a, b in zip(loose, tight):
+            assert a.converged == b.converged
+            scale = max(1.0, abs(b.objective_value))
+            assert abs(a.objective_value - b.objective_value) <= 1e-6 * scale
+        assert sum(a.iterations for a in loose) < sum(b.iterations for b in tight)
