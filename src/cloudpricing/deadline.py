@@ -49,6 +49,7 @@ from .optimizer import (
     _DenseSystem,
     _barrier_path,
     _check_nu,
+    _tangent_reach,
     barrier_optimize,
     concavity_weight_bound,
 )
@@ -225,7 +226,11 @@ class _ScheduleSystem:
         solver's central-path loop follows a log barrier over ``(x, v)``
         from weight ``t = 1`` for at most :data:`REPAIR_ROUNDS` rounds, until
         the gap bound ``N / (t v)`` is at most :data:`REPAIR_RTOL`.
-        Zero-demand cohorts and their columns drop out.
+        Zero-demand cohorts and their columns drop out.  Each cohort row
+        ``g`` is concave, as ``v**p`` is convex for ``p >= 1``, and the other
+        rows are linear, so each Newton system carries the tangent step
+        bound of its direction.  The Hessian's sparsity pattern and index
+        products are formed once, here, and refilled at every step.
         """
         live = demands > 0.0
         if not live.any():
@@ -236,12 +241,17 @@ class _ScheduleSystem:
         cohort = (np.cumsum(live) - 1)[self.cohort_of[columns]]
         A = self.A_le[:, columns]
         req, rows = self.requirements[columns], self.capacity_rows[columns]
-        # the Hessian's x-block couples two columns only when they share a
-        # cohort or a processing interval; it is filled at those pairs alone
-        ci, cj = np.nonzero(cohort[:, None] == cohort[None, :])
-        ti, tj = np.nonzero(rows[:, :1] == rows[:, :1].T)
         L, V = d.size, columns.size
         n_barrier = 2 * L + self.b_le.size + V  # -log v is weighted by L
+        # the Hessian's x-block couples two columns only when they share a
+        # cohort or a processing interval; it is filled at those pairs alone,
+        # through flat indices into the (V + 1)-square Hessian
+        ci, cj = np.nonzero(cohort[:, None] == cohort[None, :])
+        ti, tj = np.nonzero(rows[:, :1] == rows[:, :1].T)
+        pair_req, pair_rows = req[ti] * req[tj], rows[ti]
+        pair_cohort = cohort[ci]
+        time_pairs, cohort_pairs = ti * (V + 1) + tj, ci * (V + 1) + cj
+        diagonal = np.arange(V) * (V + 2)
 
         def parts(z):
             x, v = z[:-1], z[-1]
@@ -262,13 +272,23 @@ class _ScheduleSystem:
             grad[:-1] = A.T @ (1.0 / s) - (1.0 / g)[cohort] - 1.0 / x
             grad[-1] = -t + np.sum(q / g) - L / v
             hess = np.zeros((V + 1, V + 1))
-            hess[ti, tj] = np.sum(req[ti] * req[tj] / s[rows[ti]] ** 2, axis=1)
-            hess[ci, cj] += w[cohort[ci]]
-            hess[np.arange(V), np.arange(V)] += 1.0 / x**2
+            flat = hess.reshape(-1)
+            flat[time_pairs] = np.sum(pair_req / (s**2)[pair_rows], axis=1)
+            flat[cohort_pairs] += w[pair_cohort]
+            flat[diagonal] += 1.0 / x**2
             hess[:-1, -1] = hess[-1, :-1] = -(q * w)[cohort]
             curvature = d * p * (p - 1.0) * v ** (p - 2.0) / g
             hess[-1, -1] = np.sum(q**2 * w) + np.sum(curvature) + L / v**2
-            return grad, _DenseSystem(hess)
+
+            def reach(dz):  # x and v, the cohort rows g and the capacity rows s
+                dx = dz[:-1]
+                falling = q * dz[-1] - np.bincount(cohort, weights=dx, minlength=L)
+                rates = np.concatenate((-dz, falling, A @ dx))
+                delivered = np.bincount(cohort, weights=x, minlength=L)
+                magnitudes = np.concatenate((z, delivered, self.b_le))
+                return _tangent_reach(np.concatenate((z, g, s)), rates, magnitudes)
+
+            return grad, _DenseSystem(hess, reach)
 
         # start strictly inside: every row at most half used, every cohort
         # delivering twice what it asks at scale v; at extreme magnitudes the

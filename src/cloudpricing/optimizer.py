@@ -27,9 +27,12 @@ system in its own structure: resource plans have a few prices and a dense
 system in price space, while a differentiated plan, whose prices are its
 per-type costs, steps in ``u = log p`` (prices move by factors) on a
 system that is a diagonal plus one low-rank term per capacity row, solved
-in ``O(n m²)`` without forming an ``n × n`` matrix.  The same central-path
-loop, with the same damped Newton, solves the deadline module's schedule
-repair.
+in ``O(n m²)`` without forming an ``n × n`` matrix.  Every constraint of
+the barrier is concave along any ray, so each Newton system also carries
+its direction's tangent step bound, and the line search refuses, without
+evaluating them, the trial steps beyond it, which lie outside the domain.
+The same central-path loop, with the same damped Newton, solves the
+deadline module's schedule repair.
 
 A brute-force grid search over the same objective is provided as an
 independent verification oracle, along with the closed-form concavity
@@ -532,7 +535,13 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
         hess += (jac.T / slack**2) @ jac
         hess += (D.T * curvature.sum(axis=0)) @ D
         hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
-    return grad, _DenseSystem(hess)
+
+    def reach(direction):  # capacity rows, positivity and the ceiling
+        slacks = np.concatenate((slack, prices, ceiling - prices))
+        rates = np.concatenate((jac @ direction, -direction, direction))
+        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices, ceiling)))
+
+    return grad, _DenseSystem(hess, reach)
 
 
 def _log_barrier_derivatives(problem, spec, t_scaled, logs, ceiling):
@@ -549,6 +558,12 @@ def _log_barrier_derivatives(problem, spec, t_scaled, logs, ceiling):
     as a :class:`_DiagonalLowRankSystem`.
     """
     e = problem.kernel.e
+
+    def reach(direction):  # capacity rows and the ceiling; exp(u) is never negative
+        slacks = np.concatenate((slack, ceiling - prices))
+        rates = np.concatenate((jac @ direction, prices * direction))
+        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, ceiling)))
+
     with np.errstate(over="ignore", invalid="ignore"):
         prices = np.exp(logs)
         demand = problem.kernel.demand(prices)
@@ -559,19 +574,53 @@ def _log_barrier_derivatives(problem, spec, t_scaled, logs, ceiling):
         ratio = prices / (ceiling - prices)
         grad = -t_scaled * obj1 + jac.T @ (1.0 / slack) - 1.0 + ratio
         h = -t_scaled * obj2 + curvature.sum(axis=0) + (1.0 + ratio**2)
-        system = _DiagonalLowRankSystem(h, jac, slack)
+        system = _DiagonalLowRankSystem(h, jac, slack, reach)
     return grad, system
+
+
+def _unbounded(direction) -> float:
+    """The tangent step bound of a system that knows no constraints."""
+    return math.inf
+
+
+#: share of each constraint's magnitude that the tangent step bound adds to
+#: its slack: more than the rounding error of a slack evaluated near zero
+REACH_ROUNDING = 2.0**-40
+
+
+def _tangent_reach(slacks: np.ndarray, rates: np.ndarray, magnitudes: np.ndarray) -> float:
+    """The tangent step bound: ``min s_i / rate_i`` over the falling constraints.
+
+    ``slacks`` are a barrier's constraint values, all positive at the
+    current point, and ``rates`` the rates ``-s_i'·d`` at which they fall
+    along a direction ``d``.  Every constraint is concave along any ray, so
+    it lies below its tangent, and a step beyond the bound leaves the
+    barrier's domain.  Each slack is first widened by
+    :data:`REACH_ROUNDING` times its ``magnitudes`` entry (the size of the
+    terms it is the difference of), so that rounding cannot leave a refused
+    step inside the domain.  A rate that is not finite, or a bound that is
+    not a positive float, gives no bound (``inf``).  Callers ignore
+    overflow, invalid operations and division by zero.
+    """
+    speeds = rates / (slacks + REACH_ROUNDING * magnitudes)  # relative falls
+    fastest = float(speeds.max())
+    if not (fastest > 0.0 and np.isfinite(speeds).all()):
+        return math.inf
+    return 1.0 / fastest
 
 
 class _DenseSystem:
     """A Newton system ``H d = rhs`` held as its assembled matrix.
 
     Resource plans (a few prices) and the deadline repair solve their
-    systems this way.
+    systems this way.  ``reach(direction)`` is the barrier's tangent step
+    bound along a direction (:func:`_tangent_reach`); a system built
+    without one has none.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, reach=_unbounded):
         self.matrix = matrix
+        self.reach = reach
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.matrix).all())
@@ -612,11 +661,13 @@ class _DiagonalLowRankSystem:
     inertia additivity).  The direction then follows by Woodbury.  When a
     diagonal entry is a near-singular pivot, or cancellation leaves ``C``
     near-singular, the solve raises ``LinAlgError`` like an indefinite
-    system, and :func:`_newton_direction` ridges it.
+    system, and :func:`_newton_direction` ridges it.  ``reach`` is as for
+    :class:`_DenseSystem`.
     """
 
-    def __init__(self, h, jac, slack):
+    def __init__(self, h, jac, slack, reach=_unbounded):
         self.h = h
+        self.reach = reach
         self.rows = jac / slack[:, None]  # V: H = diag(h) + Vᵀ V
         self.row_diagonal = (self.rows**2).sum(axis=0)
         self._pivot_floor = PIVOT_RTOL * self.row_diagonal
@@ -693,12 +744,18 @@ def _newton_minimize(
 
     ``value_of(point)`` is the barrier's value (``inf`` outside its domain)
     and ``derivatives_of(point)`` its gradient and Newton system (see
-    :class:`_DenseSystem`).  Returns the final point, the steps taken and
-    whether the Newton decrement settled: half its square ``λ²/2`` at most
-    ``1e-10 * (1 + |value|)``, or at most ``floor`` when that is larger
-    (the loose centering of :func:`_barrier_path`).  A solve that runs out
-    of steps, or finds no acceptable step, settles at ``1e-6`` in place of
-    ``1e-10``.
+    :class:`_DenseSystem`).  Each step tries step 1, then doubles while the
+    value keeps falling or halves until the Armijo test passes (Boyd &
+    Vandenberghe, *Convex Optimization*, §9.2).  A trial beyond the
+    system's tangent step bound ``system.reach(direction)``
+    (:func:`_tangent_reach`) lies outside the domain and is refused
+    without calling ``value_of``, as its value would be ``inf``; so every
+    accepted step is the one that evaluating each trial would accept.
+    Returns the final point, the steps taken and whether the Newton
+    decrement settled: half its square ``λ²/2`` at most ``1e-10 * (1 +
+    |value|)``, or at most ``floor`` when that is larger (the loose
+    centering of :func:`_barrier_path`).  A solve that runs out of steps,
+    or finds no acceptable step, settles at ``1e-6`` in place of ``1e-10``.
     """
     value = value_of(point)
 
@@ -715,7 +772,12 @@ def _newton_minimize(
         if settled(decrement, 1e-10):
             return point, iteration, True
 
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reach = system.reach(direction)
+
         def sufficient(step: float) -> tuple[bool, float]:
+            if step > reach:  # past a constraint's tangent, so outside the domain
+                return False, math.inf
             trial = value_of(point + step * direction)
             return trial <= value + ARMIJO_SLOPE * step * slope, trial
 

@@ -2,10 +2,11 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudpricing import (
@@ -27,7 +28,8 @@ from cloudpricing import (
     objective,
     tradeoff_bound_check,
 )
-from cloudpricing import optimizer
+from cloudpricing import deadline, optimizer
+from cloudpricing.deadline import IntervalDemandSpec, IntervalMarket, solve_horizon
 from cloudpricing.fairness import LOG_DOMAIN_BETA, beta_fairness
 from cloudpricing.optimizer import (
     _barrier_derivatives,
@@ -579,6 +581,51 @@ def reference_newton_direction(hess, grad):
             return direction
         tau = max(1e-10 * scale, tau * 4.0)
     return -grad
+
+
+def reference_newton_minimize(value_of, derivatives_of, point, max_iterations, floor=0.0):
+    """The damped Newton loop that evaluates every trial step."""
+    value = value_of(point)
+
+    def settled(decrement, rtol):
+        return decrement / 2.0 <= max(floor, rtol * (1.0 + abs(value)))
+
+    for iteration in range(max_iterations):
+        grad, system = derivatives_of(point)
+        if not (np.isfinite(grad).all() and system.finite()):
+            return point, iteration, False
+        direction = _newton_direction(system, grad)
+        slope = float(grad @ direction)
+        decrement = -slope
+        if settled(decrement, 1e-10):
+            return point, iteration, True
+
+        def sufficient(step):
+            trial = value_of(point + step * direction)
+            return trial <= value + optimizer.ARMIJO_SLOPE * step * slope, trial
+
+        step = 1.0
+        ok_step, cand_value = sufficient(step)
+        if ok_step:
+            while step < 2.0**30:
+                grew, trial = sufficient(2.0 * step)
+                if not grew or trial >= cand_value:
+                    break
+                step *= 2.0
+                cand_value = trial
+        else:
+            while step > 1e-18:
+                step *= optimizer.BACKTRACK_FACTOR
+                ok_step, cand_value = sufficient(step)
+                if ok_step:
+                    break
+            else:
+                return point, iteration, settled(decrement, 1e-6)
+        point = point + step * direction
+        value = cand_value
+    grad, system = derivatives_of(point)
+    direction = _newton_direction(system, grad)
+    return point, max_iterations, settled(-float(grad @ direction), 1e-6)
 
 
 class TestOracleMatchesReference:
@@ -1247,3 +1294,211 @@ class TestLooseCentering:
             scale = max(1.0, abs(b.objective_value))
             assert abs(a.objective_value - b.objective_value) <= 1e-6 * scale
         assert sum(a.iterations for a in loose) < sum(b.iterations for b in tight)
+
+
+#: every trial step `_newton_minimize` can take: doublings up to 2**30 and
+#: halvings down to the first step at or below 1e-18
+TRIAL_STEPS = tuple(2.0**k for k in range(-60, 31))
+
+
+def refused_steps(reach):
+    """The trial steps above the tangent step bound, and the float just above it."""
+    return [step for step in TRIAL_STEPS if step > reach] + [np.nextafter(reach, math.inf)]
+
+
+def random_reference_horizon(rng):
+    """Up to four reference-market intervals with drawn memory, deadlines and nu."""
+    T = int(rng.integers(1, 5))
+    intervals = tuple(
+        IntervalMarket(
+            google_cluster_instance(memory_capacity=float(rng.uniform(3.0, 8.0))),
+            deadlines=tuple(int(d) for d in rng.integers(s, T + 1, size=3)),
+            nu=float(rng.choice([0.0, 0.5, 1.0])),
+        )
+        for s in range(1, T + 1)
+    )
+    return IntervalDemandSpec(horizon=T, intervals=intervals)
+
+
+class TestTangentStepBound:
+    """Trial steps past a constraint's tangent are refused without evaluating them."""
+
+    @pytest.mark.parametrize(
+        "slacks, rates",
+        [
+            ([1.0, 2.0], [np.nan, 1.0]),  # a NaN rate
+            ([1.0, 2.0], [np.inf, 1.0]),  # an overflowed rate
+            ([1.0, 2.0], [-np.inf, 1.0]),
+            ([1e-300, 2.0], [1e300, 1.0]),  # the bound underflows to zero
+            ([1e300], [1e-300]),  # the bound overflows
+            ([1.0, 2.0], [0.0, -3.0]),  # no constraint falls
+        ],
+    )
+    def test_no_bound_without_a_finite_positive_float(self, slacks, rates):
+        slacks, rates = np.array(slacks), np.array(rates)
+        with np.errstate(over="ignore", under="ignore"):
+            assert optimizer._tangent_reach(slacks, rates, np.zeros_like(slacks)) == math.inf
+
+    def test_bound_is_the_first_tangent_crossing(self):
+        slacks, rates = np.array([1.0, 3.0, 4.0, 8.0]), np.array([2.0, -1.0, 2.0, 0.0])
+        assert optimizer._tangent_reach(slacks, rates, np.zeros(4)) == 0.5
+        # each slack is widened by its rounding allowance first
+        magnitudes = np.array([1.0, 0.0, 0.0, 0.0]) / optimizer.REACH_ROUNDING
+        assert optimizer._tangent_reach(slacks, rates, magnitudes) == 1.0
+
+    @staticmethod
+    def one_type_market(requirement):
+        return Instance(
+            resources=ResourceModel(names=("r",), capacities=(1.0,)),
+            user_types=(UserType("a", 1, (requirement,), UtilityParams(0.99, 1.0)),),
+            discount=1.0,
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_demand_slope_keeps_the_known_stall(self, monkeypatch):
+        # costs near 2e-198 overflow the demand slope x' ≈ x / r, so the
+        # capacity row's rate is not finite and nothing is skipped
+        instance = self.one_type_market(1e-200)
+        spec = ObjectiveSpec(1.0, 2.0)
+        problem = _PriceProblem(instance, "resource")
+        start = _feasible_start(problem, spec)
+        _, system = _barrier_derivatives(problem, spec, 1.0, start, 1e4 * start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert system.reach(np.array([1.0])) == system.reach(np.array([-1.0])) == math.inf
+        result = barrier_optimize(instance, "resource", spec)
+        monkeypatch.setattr(optimizer, "_newton_minimize", reference_newton_minimize)
+        reference = barrier_optimize(instance, "resource", spec)
+        # the known stall of a price level far from one, unchanged
+        assert not result.converged
+        assert result.message == reference.message
+        assert result.message == "inner Newton solve stalled at barrier weight t=inf"
+        assert result.iterations == reference.iterations == 0
+        assert np.array_equal(result.plan.prices, reference.plan.prices)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["resource", "differentiated"]),
+        beta=st.sampled_from([0.5, 2.0, 20.0]),
+        nu=st.sampled_from([0.0, 1.0]),
+        newton=st.booleans(),
+    )
+    def test_price_steps_past_the_bound_leave_the_domain(self, seed, kind, beta, nu, newton):
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 9)))
+        problem, spec = _PriceProblem(instance, kind), ObjectiveSpec(nu, beta)
+        # loads from half capacity to within 1e-12 of it, ceilings from just
+        # above the largest price to 1e4 times it
+        target = 1.0 - 0.5 * 10.0 ** -rng.uniform(0.0, 12.0)
+        prices = sample_feasible_prices(instance, kind, rng, 1, load_target=target)[0]
+        ceiling = np.full(problem.dim, prices.max() * (1.0 + 10.0 ** rng.uniform(-8.0, 4.0)))
+        point, t = problem.point(prices), 10.0 ** rng.uniform(-3.0, 6.0)
+        assume(_barrier_value(problem, spec, t, point, ceiling) < math.inf)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            grad, system = _barrier_derivatives(problem, spec, t, point, ceiling)
+            if newton:
+                assume(np.isfinite(grad).all() and system.finite())
+                direction = _newton_direction(system, grad)
+            else:
+                direction = rng.normal(size=problem.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+            reach = system.reach(direction)
+        for step in refused_steps(reach):
+            value = _barrier_value(problem, spec, t, point + step * direction, ceiling)
+            assert value == math.inf, (step, reach)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        powers=st.sampled_from(["one", "market", "drawn"]),
+        newton=st.booleans(),
+    )
+    def test_repair_steps_past_the_bound_leave_the_domain(self, seed, powers, newton):
+        rng = np.random.default_rng(seed)
+        system = random_reference_horizon(rng)._schedule_system
+        size = system.counts.size
+        demands = rng.uniform(0.0, 5.0, size=size) * rng.integers(0, 2, size=size)
+        assume(demands.any())
+        p = {
+            "one": np.ones_like(demands),
+            "market": system.powers,
+            "drawn": rng.uniform(1.0, 3.0, size=demands.size),
+        }[powers]
+        oracle = {}
+
+        def capture(value_of, derivatives_of, point, *rest):
+            oracle.update(value=value_of, derivatives=derivatives_of)
+            return point, 0, math.inf, "not solved"
+
+        with mock.patch.object(deadline, "_barrier_path", capture):
+            system.max_scale(demands, p)
+        live = demands > 0.0
+        columns = np.flatnonzero(live[system.cohort_of])
+        # a strictly feasible point: random amounts scaled to fill the
+        # fullest capacity row to within 1e-13 to 1/2 of its capacity, and v
+        # from far inside to within 1e-12 of the delivery they allow
+        x = rng.uniform(0.01, 1.0, size=columns.size)
+        usage = system.A_le[:, columns] @ x
+        used = usage > 0.0
+        x *= np.min(system.b_le[used] / usage[used]) * (1.0 - 10.0 ** -rng.uniform(0.3, 13.0))
+        cohort = (np.cumsum(live) - 1)[system.cohort_of[columns]]
+        delivered = np.bincount(cohort, weights=x)
+        v = np.min((delivered / demands[live]) ** (1.0 / p[live]))
+        z = np.append(x, v * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0)))
+        t = 10.0 ** rng.uniform(-2.0, 8.0)
+        assume(oracle["value"](z, t) < math.inf)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            grad, newton_system = oracle["derivatives"](z, t)
+            if newton:
+                direction = _newton_direction(newton_system, grad)
+            else:
+                direction = rng.normal(size=z.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+            reach = newton_system.reach(direction)
+            for step in refused_steps(reach):
+                assert oracle["value"](z + step * direction, t) == math.inf, (step, reach)
+
+    def test_same_iterates_as_evaluating_every_trial(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _barrier_value(*args)
+
+        monkeypatch.setattr(optimizer, "_barrier_value", counted)
+        cases = [
+            (random_instance(np.random.default_rng(seed)), kind, ObjectiveSpec(1.0, beta))
+            for seed in range(8)
+            for kind in ("resource", "differentiated")
+            for beta in (0.5, 2.0, 20.0)
+        ]
+        bounded = [barrier_optimize(*case) for case in cases]
+        bounded_calls = calls[0]
+        monkeypatch.setattr(optimizer, "_newton_minimize", reference_newton_minimize)
+        calls[0] = 0
+        for case, result in zip(cases, bounded):
+            reference = barrier_optimize(*case)
+            assert np.array_equal(result.plan.prices, reference.plan.prices), case
+            assert result.iterations == reference.iterations
+            assert (result.converged, result.message) == (reference.converged, reference.message)
+            assert (result.objective_value, result.gap) == (reference.objective_value, reference.gap)
+        assert bounded_calls < 0.9 * calls[0]
+
+    @pytest.mark.filterwarnings("ignore:interval .*concavity:UserWarning")
+    def test_same_horizons_as_evaluating_every_trial(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        specs = [random_reference_horizon(rng) for _ in range(6)]
+        bounded = [solve_horizon(spec, 2.0) for spec in specs]
+        monkeypatch.setattr(optimizer, "_newton_minimize", reference_newton_minimize)
+        for spec, result in zip(specs, bounded):
+            reference = solve_horizon(spec, 2.0)
+            assert result.price_scale == reference.price_scale
+            assert result.converged == reference.converged
+            assert (result.total_revenue, result.total_fairness) == (
+                reference.total_revenue,
+                reference.total_fairness,
+            )
+            for a, b in zip(result.plans, reference.plans):
+                assert np.array_equal(a.prices, b.prices)
+            assert result.schedule.amounts == reference.schedule.amounts
+            assert [r.iterations for r in result.interval_results] == [
+                r.iterations for r in reference.interval_results
+            ]
