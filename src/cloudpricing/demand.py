@@ -299,9 +299,3 @@ class NetUtilityKernel:
         (a, p), (b, s) = self._slopes[law]
         return a * costs**p, b * costs**s
 
-    def bill_and_surplus_derivatives(self, costs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`derivatives` of the bill, then of the surplus, from their shared powers."""
-        (a, p), (b, s) = self._slopes["bill"]
-        (c, _), (d, _) = self._slopes["surplus"]
-        first, second = costs**p, costs**s
-        return a * first, b * second, c * first, d * second

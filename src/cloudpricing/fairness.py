@@ -81,19 +81,16 @@ def log_sum_exp(a: np.ndarray, weights: np.ndarray, axis=None):
     Subtracting the maximum keeps every exponential at most one, so nothing
     overflows; ``weights`` must be positive and broadcast against ``a``.
     """
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    total = np.sum(weights * np.exp(a - shift), axis=axis, keepdims=True)
-    return np.squeeze(np.log(total) + shift, axis=axis)
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    total = (weights * np.exp(a - shift)).sum(axis=axis, keepdims=True)
+    return (np.log(total) + shift).squeeze(axis=axis)
 
 
 def _log_power_sum(u: np.ndarray, w: np.ndarray, beta: float) -> float:
     """log( sum_j w_j * u_j**(1-beta) ); from LOG_DOMAIN_BETA on, :func:`log_sum_exp` of vectors."""
     if beta >= LOG_DOMAIN_BETA:
-        a = (1.0 - beta) * np.log(u)
-        shift = a.max()
-        shift = shift if math.isfinite(shift) else 0.0
-        return float(np.log((w * np.exp(a - shift)).sum()) + shift)
+        return float(log_sum_exp((1.0 - beta) * np.log(u), w))
     return math.log(float((w * u ** (1.0 - beta)).sum()))
 
 

@@ -198,14 +198,14 @@ class _PriceProblem:
     """Objective, constraints, and derivatives as functions of the prices.
 
     Per-job costs are linear in the price vector (``r = D @ p``), and every
-    per-type quantity is a power law of its cost (``kernel``), so first and
-    second derivatives in price space are congruence transforms of per-type
-    scalar derivatives by ``D``.  A differentiated plan's prices are its
-    costs: its ``D`` is ``None`` and never formed, and its barrier steps in
-    log prices (:meth:`point`), on elasticities.  The barrier calls these
-    many times per solve: each power of the costs is formed once per point,
-    and the float-error state once per call, by the caller where a method
-    says so.
+    per-type quantity is a power law of its cost (``kernel``), so its
+    derivatives are elasticities (:meth:`objective_log_derivatives`), and
+    the barrier's derivatives are congruence transforms of them by ``d log
+    r / dp``.  A differentiated plan's prices are its costs: its ``D`` is
+    ``None`` and never formed, and its barrier steps in log prices
+    (:meth:`point`).  The barrier calls these many times per solve: each
+    power of the costs is formed once per point, and the float-error state
+    once per call, by the caller where a method says so.
     """
 
     def __init__(self, instance: Instance, plan_kind: str, bundle=None):
@@ -299,21 +299,6 @@ class _PriceProblem:
             return -math.inf
         revenue = float((self.bill_weights * powered).sum())
         return spec.nu * revenue + _power_fairness(utils, self.w, spec.beta)
-
-    def objective_cost_derivatives(
-        self, spec: ObjectiveSpec, costs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """First and second derivatives of the objective per per-job cost
-        (callers ignore overflow and invalid operations)."""
-        beta, nu = spec.beta, spec.nu
-        utils = self.kernel(costs)
-        rev1, rev2, u1, u2 = self.kernel.bill_and_surplus_derivatives(costs)
-        um_b = utils**-beta
-        fair1 = um_b * u1
-        fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
-        first = self.w * (nu * rev1 + fair1)
-        second = self.w * (nu * rev2 + fair2)
-        return first, second
 
     def objective_log_derivatives(
         self, spec: ObjectiveSpec, costs: np.ndarray
@@ -446,11 +431,11 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     demand negligible, and its flat objective coordinate then drifts on the
     barrier instead of optimizing.  Each level search after the first starts
     from the level before it.  When positive net utilities, or an
-    objective and cost derivatives inside the float range (``F_beta`` of
-    tiny utilities at large ``beta`` is not), require lower prices than the
-    half-capacity point allows, the target is relaxed toward the boundary.
-    A start whose objective is finite but whose derivatives overflow is
-    kept only when no target gives finite derivatives.
+    objective and its elasticities ``r f'`` and ``r² f''`` inside the float
+    range (``F_beta`` of tiny utilities at large ``beta`` is not), require
+    lower prices than the half-capacity point allows, the target is relaxed
+    toward the boundary.  A start whose objective is finite but whose
+    elasticities overflow is kept only when no target gives finite ones.
     """
     fallback, level = None, 1.0
     for target in (0.5, 0.8, 0.95, 0.99):
@@ -464,7 +449,7 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
         costs = problem.costs(start)
         if math.isfinite(problem.objective_value(spec, costs)):
             with np.errstate(over="ignore", invalid="ignore"):
-                slopes = problem.objective_cost_derivatives(spec, costs)
+                slopes = problem.objective_log_derivatives(spec, costs)
             if all(np.all(np.isfinite(s)) for s in slopes):
                 return start
             if fallback is None:
@@ -511,71 +496,60 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
     """Gradient and Newton system of the barrier function at a point of the
     problem's Newton coordinates.
 
-    In price space the Hessian is ``-t Dᵀ diag(obj'') D + Jᵀ S⁻² J + Dᵀ
-    diag(curvature) D`` plus the box terms, with ``J`` the usage Jacobian
-    (one row per capacity row) and ``S`` the slacks; resource plans have a
-    few prices and solve it as a dense system.  A differentiated plan steps
-    in ``u = log p`` (:func:`_log_barrier_derivatives`).
-    """
-    if problem.log_prices:
-        return _log_barrier_derivatives(problem, spec, t_scaled, point, ceiling)
-    prices, D = point, problem.D
-    costs = problem.costs(prices)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, x2 = problem.kernel.derivatives("demand", costs)
-        slack = problem.slacks(costs)
-        obj1, obj2 = problem.objective_cost_derivatives(spec, costs)
-        curvature = (problem.G * x2[None, :]) / slack[:, None]  # sum_i (d2 usage)/slack
-        jac = (problem.G * x1[None, :]) @ D
-        grad = -t_scaled * (D.T @ obj1)
-        grad += jac.T @ (1.0 / slack)
-        grad -= 1.0 / prices
-        grad += 1.0 / (ceiling - prices)
-        hess = -t_scaled * (D.T * obj2) @ D
-        hess += (jac.T / slack**2) @ jac
-        hess += (D.T * curvature.sum(axis=0)) @ D
-        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
-
-    def reach(direction):  # capacity rows, positivity and the ceiling
-        slacks = np.concatenate((slack, prices, ceiling - prices))
-        rates = np.concatenate((jac @ direction, -direction, direction))
-        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices, ceiling)))
-
-    return grad, _DenseSystem(hess, reach)
-
-
-def _log_barrier_derivatives(problem, spec, t_scaled, logs, ceiling):
-    """Gradient and Newton system of a differentiated plan's barrier in ``u = log p``.
-
-    Its prices are its costs, so every per-type derivative is an elasticity:
-    ``r x' = e x`` and ``r² x'' = e (e - 1) x`` for demand, and likewise
+    Every per-type derivative is formed as an elasticity: ``r x' = e x``
+    and ``r² x'' = e (e - 1) x`` for demand, and ``r f'`` and ``r² f''``
     for the objective (:meth:`_PriceProblem.objective_log_derivatives`);
-    none overflows where its power law does not.  The gradient is ``P g``
-    for the price-space gradient ``g`` and ``P = diag(p)``.  The system is
-    ``P H P``: the u-Hessian without its first-order term ``diag(P g)``,
-    which vanishes at each centre, so the Newton decrement is the one in
-    price space.  All of it but ``P Jᵀ S⁻² J P`` is diagonal, and it is held
-    as a :class:`_DiagonalLowRankSystem`.
+    none overflows where its power law does not.  With ``J`` the usage
+    Jacobian (one row per capacity row), ``S`` the slacks and ``h`` the
+    per-type second elasticities ``-t r² f'' + sum_i G_ij e (e - 1) x_j /
+    s_i``, only the map to the Newton coordinates differs by plan:
+
+    - a differentiated plan's prices are its costs, and it steps in ``u =
+      log p``: ``J = G diag(e x)``, and the system is ``diag(h) + Jᵀ S⁻² J``
+      plus the box, ``P H P`` for the price-space Hessian ``H`` (``P =
+      diag(p)``) without the first-order term ``diag(P g)``, which vanishes
+      at each centre, so the Newton decrement is the one in price space.
+      It is held as a :class:`_DiagonalLowRankSystem`;
+    - resource and bundled plans step in price space, through ``M = D /
+      r`` (``d log r / dp``, whose entries are at most ``1 / p``): ``J = G
+      diag(e x) M``, and the Hessian ``Mᵀ diag(h) M + Jᵀ S⁻² J`` plus the
+      box, a dense system of a few prices.
     """
     e = problem.kernel.e
 
-    def reach(direction):  # capacity rows and the ceiling; exp(u) is never negative
+    def log_reach(direction):  # capacity rows and the ceiling; exp(u) is never negative
         slacks = np.concatenate((slack, ceiling - prices))
         rates = np.concatenate((jac @ direction, prices * direction))
         return _tangent_reach(slacks, rates, np.concatenate((problem.limits, ceiling)))
 
+    def price_reach(direction):  # capacity rows, positivity and the ceiling
+        slacks = np.concatenate((slack, prices, ceiling - prices))
+        rates = np.concatenate((jac @ direction, -direction, direction))
+        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices, ceiling)))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        prices = np.exp(logs)
-        demand = problem.kernel.demand(prices)
+        prices = problem.prices(point)
+        costs = problem.costs(prices)
+        demand = problem.kernel.demand(costs)
         slack = problem.limits - problem.G @ demand
-        obj1, obj2 = problem.objective_log_derivatives(spec, prices)
-        jac = problem.G * (e * demand)  # d usage_i / d u_j
+        obj1, obj2 = problem.objective_log_derivatives(spec, costs)
+        jac = problem.G * (e * demand)  # d usage_i / d log r_j
         curvature = (problem.G * (e * (e - 1.0) * demand)) / slack[:, None]
-        ratio = prices / (ceiling - prices)
-        grad = -t_scaled * obj1 + jac.T @ (1.0 / slack) - 1.0 + ratio
-        h = -t_scaled * obj2 + curvature.sum(axis=0) + (1.0 + ratio**2)
-        system = _DiagonalLowRankSystem(h, jac, slack, reach)
-    return grad, system
+        h = -t_scaled * obj2 + curvature.sum(axis=0)
+        if problem.log_prices:
+            ratio = prices / (ceiling - prices)
+            grad = -t_scaled * obj1 + jac.T @ (1.0 / slack) - 1.0 + ratio
+            return grad, _DiagonalLowRankSystem(h + (1.0 + ratio**2), jac, slack, log_reach)
+        M = problem.D / costs[:, None]  # d log r / dp
+        jac = jac @ M
+        grad = -t_scaled * (M.T @ obj1)
+        grad += jac.T @ (1.0 / slack)
+        grad -= 1.0 / prices
+        grad += 1.0 / (ceiling - prices)
+        hess = (M.T * h) @ M
+        hess += (jac.T / slack**2) @ jac
+        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+    return grad, _DenseSystem(hess, price_reach)
 
 
 def _unbounded(direction) -> float:
@@ -987,7 +961,8 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
 
     if not math.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling)):
         raise InfeasibleError("barrier ladder started outside the feasible domain")
-    start_objective = problem.objective_value(spec, problem.costs(prices))
+    costs = problem.costs(prices)
+    start_objective = problem.objective_value(spec, costs)
     scale = max(1.0, abs(start_objective))
 
     # Balance the first barrier weight against the objective's slope so the
@@ -996,7 +971,7 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # the way back is thousands of damped steps.  Both slopes are taken in
     # price space, whatever coordinates the Newton steps take.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
-        slopes = problem.objective_cost_derivatives(spec, problem.costs(prices))[0]
+        slopes = problem.objective_log_derivatives(spec, costs)[0] / costs
         obj_slope = float(np.linalg.norm(slopes if problem.D is None else problem.D.T @ slopes))
         barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point, ceiling)
         if problem.log_prices:

@@ -191,7 +191,7 @@ class TestLogDomain:
     )
     @settings(max_examples=200, deadline=None)
     def test_vector_power_sum_is_log_sum_exp_exactly(self, beta, logs, weights):
-        # the power sum writes log_sum_exp out for one axis; same floats
+        # the log-domain power sum is log_sum_exp of the vectors; same floats
         u = np.exp(np.array(logs))
         w = np.array(weights[: u.size], dtype=float)
         expected = float(log_sum_exp((1.0 - beta) * np.log(u), w))
