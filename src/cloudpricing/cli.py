@@ -149,6 +149,8 @@ def _sweep_target(instance: Instance, parameter: str, population: int):
         names = instance.resources.names
         if name not in names:
             raise ValueError(f"capacity sweep: no resource named {name!r}")
+        if names.count(name) > 1:
+            raise ValueError(f"capacity sweep: {names.count(name)} resources are named {name!r}")
         index = names.index(name)
 
         def at_capacity(value: float) -> Instance:
@@ -161,6 +163,8 @@ def _sweep_target(instance: Instance, parameter: str, population: int):
         labels = [u.label for u in instance.user_types]
         if name not in labels:
             raise ValueError(f"mix sweep: no user type labeled {name!r}")
+        if labels.count(name) > 1:
+            raise ValueError(f"mix sweep: {labels.count(name)} user types are labeled {name!r}")
         target = labels.index(name)
         if len(labels) >= 3 and target == len(labels) - 1:
             raise ValueError("mix sweep: the last type's share is fixed; sweep another type")

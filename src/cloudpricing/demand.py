@@ -96,6 +96,15 @@ def _check_demand_law(utility: UtilityParams, discount: float) -> None:
         raise ValueError(f"demand coefficient {k} (from c = {utility.c}) must be a positive float")
 
 
+def _demand_law_violations(alphas: np.ndarray, cs: np.ndarray, discount: float) -> np.ndarray:
+    """Where :func:`_check_demand_law` rejects, for columns of alpha and c at once."""
+    log_types = alphas == 1.0
+    with np.errstate(all="ignore"):
+        e = np.where(log_types, 1.0 / discount, 1.0 / (1.0 - alphas - discount))
+        k = np.where(log_types, cs / discount, discount / cs) ** e
+    return ((alphas < 1.0) & (discount <= 1.0 - alphas)) | ~((0.0 < k) & (k < np.inf))
+
+
 def _check_args(utility: UtilityParams, per_job_cost: float, discount: float) -> None:
     if not (0.0 < discount <= 1.0):
         raise ValueError(f"discount must lie in (0, 1], got {discount}")
@@ -249,6 +258,7 @@ class NetUtilityKernel:
     columns are independent candidates (say, the points of a price grid).
     Unlike :func:`net_utility` the kernel neither validates nor clamps: a
     log-utility type's surplus comes back negative when it would opt out.
+    Its arrays are read-only, as a market keeps its kernel.
     """
 
     def __init__(self, utilities: Sequence[UtilityParams], discount: float):
@@ -272,6 +282,9 @@ class NetUtilityKernel:
             "bill": ((Aq, self.q - 1.0), (Aq * (self.q - 1.0), self.q - 2.0)),
             "surplus": ((-self.A, self.q - 1.0), (-discount * self.e * self.A, self.q - 2.0)),
         }
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     # costs are transposed so that the per-type constants run along their
     # last axis, which serves both shapes

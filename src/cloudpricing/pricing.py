@@ -25,12 +25,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .demand import NetUtilityKernel, UtilityParams, _check_demand_law
+from .demand import NetUtilityKernel, UtilityParams, _check_demand_law, _demand_law_violations
 
 __all__ = [
     "ResourceModel",
@@ -66,13 +67,16 @@ def _check_plan_kind(plan_kind: str) -> None:
         raise ValueError(f"plan kind must be one of {PLAN_KINDS}, got {plan_kind!r}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _freeze(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +119,8 @@ class UserType:
         # Instance.counts holds the counts as floats
         if not (1 <= self.count <= sys.float_info.max and int(self.count) == self.count):
             raise ValueError(f"count must be a positive integer in float range, got {self.count}")
-        req = self.requirements
-        if np.any(req < 0.0) or not np.any(req > 0.0) or not np.all(req < np.inf):
+        req = self.requirements  # NaN fails both comparisons, as min and max propagate it
+        if not (req.size and req.min() >= 0.0 and 0.0 < req.max() < np.inf):
             raise ValueError(
                 f"requirements must be finite and nonnegative with at least one positive "
                 f"entry, got {req}"
@@ -125,7 +129,9 @@ class UserType:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A market: resources, user types, and the volume discount."""
+    """A market: resources, user types, and the volume discount.
+
+    Its per-type columns and kernel are built on first use and kept, read-only."""
 
     resources: ResourceModel
     user_types: tuple[UserType, ...]
@@ -137,16 +143,19 @@ class Instance:
             raise ValueError("need at least one user type")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError(f"discount must lie in (0, 1], got {self.discount}")
+        cs = np.array([u.utility.c for u in self.user_types])
+        violations = _demand_law_violations(self.alphas, cs, self.discount).tolist()
         for j, user in enumerate(self.user_types):
             if user.requirements.size != self.resources.m:
                 raise ValueError(
                     f"user_types[{j}].requirements: expected {self.resources.m} entries, "
                     f"got {user.requirements.size}"
                 )
-            try:
-                _check_demand_law(user.utility, self.discount)
-            except ValueError as err:
-                raise ValueError(f"user_types[{j}]: {err}") from None
+            if violations[j]:
+                try:
+                    _check_demand_law(user.utility, self.discount)
+                except ValueError as err:
+                    raise ValueError(f"user_types[{j}]: {err}") from None
 
     @property
     def n(self) -> int:
@@ -156,22 +165,26 @@ class Instance:
     def m(self) -> int:
         return self.resources.m
 
-    @property
+    @cached_property
     def requirement_matrix(self) -> np.ndarray:
         """Resources-by-types matrix R with R[i, j] = requirements of type j."""
-        return np.column_stack([u.requirements for u in self.user_types])
+        return _read_only(np.column_stack([u.requirements for u in self.user_types]))
 
-    @property
+    @cached_property
     def counts(self) -> np.ndarray:
-        return np.array([u.count for u in self.user_types], dtype=float)
+        return _read_only(np.array([u.count for u in self.user_types], dtype=float))
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        return np.array([u.utility.alpha for u in self.user_types])
+        return _read_only(np.array([u.utility.alpha for u in self.user_types]))
+
+    @cached_property
+    def _kernel(self) -> NetUtilityKernel:
+        return NetUtilityKernel([u.utility for u in self.user_types], self.discount)
 
     def utility_kernel(self) -> NetUtilityKernel:
         """Per-type demand, bill and net utility as power laws of the per-job cost."""
-        return NetUtilityKernel([u.utility for u in self.user_types], self.discount)
+        return self._kernel
 
 
 class _Plan:
@@ -394,10 +407,38 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, index=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: expected a number, got {value!r}")
+        where = path if index is None else f"{path}[{index}]"
+        raise ValueError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _user_type(raw) -> UserType:
+    """One ``user_types`` entry; errors name the field by its path inside the
+    entry, which the caller prefixes, so no path is formatted unless raised."""
+    if not isinstance(raw, dict):
+        raise ValueError(": expected an object")
+    label = _string(_require(raw, "label", ""), ".label")
+    count = _require(raw, "count", "")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f".count: expected a positive integer, got {count!r}")
+    alpha = _number(_require(raw, "alpha", ""), ".alpha")
+    c = _number(_require(raw, "c", ""), ".c")
+    reqs = _require(raw, "requirements", "")
+    if not isinstance(reqs, list):
+        raise ValueError(".requirements: expected a list")
+    reqs = [_number(v, ".requirements", i) for i, v in enumerate(reqs)]
+    try:
+        return UserType(label, count, reqs, UtilityParams(alpha=alpha, c=c))
+    except ValueError as err:
+        raise ValueError(f": {err}") from None
 
 
 def instance_from_json(obj: dict) -> Instance:
@@ -412,7 +453,7 @@ def instance_from_json(obj: dict) -> Instance:
         path = f"resources[{i}]"
         if not isinstance(res, dict):
             raise ValueError(f"{path}: expected an object")
-        names.append(str(_require(res, "name", path)))
+        names.append(_string(_require(res, "name", path), f"{path}.name"))
         cap = _number(_require(res, "capacity", path), f"{path}.capacity")
         if not 0.0 < cap < np.inf:
             raise ValueError(f"{path}.capacity: must be finite and strictly positive, got {cap}")
@@ -425,26 +466,10 @@ def instance_from_json(obj: dict) -> Instance:
 
     user_types = []
     for j, raw in enumerate(raw_types):
-        path = f"user_types[{j}]"
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: expected an object")
-        label = str(_require(raw, "label", path))
-        count = _require(raw, "count", path)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"{path}.count: expected a positive integer, got {count!r}")
-        alpha = _number(_require(raw, "alpha", path), f"{path}.alpha")
-        c = _number(_require(raw, "c", path), f"{path}.c")
-        reqs = _require(raw, "requirements", path)
-        if not isinstance(reqs, list):
-            raise ValueError(f"{path}.requirements: expected a list")
-        reqs = [_number(v, f"{path}.requirements[{i}]") for i, v in enumerate(reqs)]
         try:
-            utility = UtilityParams(alpha=alpha, c=c)
-            user_types.append(
-                UserType(label=label, count=count, requirements=reqs, utility=utility)
-            )
+            user_types.append(_user_type(raw))
         except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+            raise ValueError(f"user_types[{j}]{err}") from None
 
     try:
         return Instance(

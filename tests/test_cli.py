@@ -7,7 +7,7 @@ import pytest
 from cloudpricing import optimizer, verify
 from cloudpricing.cli import _sweep_target, main
 from cloudpricing.optimizer import ObjectiveSpec, barrier_optimize
-from cloudpricing.pricing import instance_to_json, save_instance
+from cloudpricing.pricing import instance_to_json, load_instance, save_instance
 from cloudpricing.synth import google_cluster_instance, planted_trace
 
 
@@ -581,6 +581,30 @@ class TestSweep:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("capacity:cpu", "capacity sweep: 2 resources are named 'cpu'"),
+            ("mix:small", "mix sweep: 2 user types are labeled 'small'"),
+        ],
+    )
+    def test_ambiguous_target_exit_one(self, tmp_path, capsys, param, message):
+        # sweeping only the first of two equal names would leave the other
+        # at its old value and still exit 0
+        obj = instance_to_json(google_cluster_instance())
+        obj["resources"][1]["name"] = "cpu"
+        obj["user_types"][1]["label"] = "small"
+        obj["user_types"][0]["label"] = "small"
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        args = ["sweep", "--instance", str(path), "--param", param, "--start", "0.2"]
+        args += ["--stop", "0.4", "--steps", "2", "--out", str(tmp_path / "out.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(ValueError, match=message):
+            _sweep_target(load_instance(path), param, 1000)
 
 
 class TestIngest:

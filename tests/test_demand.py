@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cloudpricing.demand import (
     NetUtilityKernel,
     UtilityParams,
+    _check_demand_law,
+    _demand_law_violations,
     demand_by_bisection,
     demand_point,
     demand_power_law,
@@ -250,6 +252,33 @@ class TestInvariants:
             return
         values = [optimal_demand(u, r, gamma) for r in costs]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @given(
+        types=st.lists(
+            st.tuples(
+                st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+                st.floats(-300.0, 300.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        discount=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_demand_law_columns_match_the_per_type_check(self, types, discount):
+        # the vectorized rule against its loop reference, across coefficients
+        # that overflow or vanish
+        utilities = [UtilityParams(alpha, 10.0**exponent) for alpha, exponent in types]
+        expected = []
+        for u in utilities:
+            try:
+                _check_demand_law(u, discount)
+                expected.append(False)
+            except ValueError:
+                expected.append(True)
+        alphas = np.array([u.alpha for u in utilities])
+        cs = np.array([u.c for u in utilities])
+        assert _demand_law_violations(alphas, cs, discount).tolist() == expected
 
     def test_second_order_condition(self, rng):
         for _ in range(100):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cloudpricing import (
     per_job_cost,
     save_instance,
 )
+from cloudpricing.demand import NetUtilityKernel
 from cloudpricing.optimizer import _PriceProblem
 from cloudpricing.pricing import FEASIBILITY_ATOL, PLAN_KINDS, plan_structure
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
@@ -391,3 +394,230 @@ class TestJsonInterface:
         obj = instance_to_json(google_cluster_instance())
         text = json.dumps(obj)
         assert instance_from_json(json.loads(text)).n == 3
+
+
+_DELETE = object()
+
+
+def _spoiled_json(*edits) -> object:
+    """The reference market's JSON with each ``(path, value)`` edit applied;
+    ``_DELETE`` removes the field, and an empty path replaces the whole."""
+    obj = instance_to_json(google_cluster_instance())
+    for path, value in edits:
+        if not path:
+            obj = value
+            continue
+        *parents, key = path
+        node = obj
+        for part in parents:
+            node = node[part]
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    return obj
+
+
+_BOUND = "must be finite and nonnegative with at least one positive entry, got"
+_LAW = "below that the user's optimum is unbounded or undefined"
+
+
+# one malformed input per error path of instance_from_json, with its exact message
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        pytest.param([((), [1])], "instance: expected a JSON object", id="not-an-object"),
+        pytest.param([(("resources",), _DELETE)], "instance.resources: missing field",
+                     id="no-resources"),
+        pytest.param([(("resources",), [])], "instance.resources: expected a non-empty list",
+                     id="empty-resources"),
+        pytest.param([(("resources", 0), "cpu")], "resources[0]: expected an object",
+                     id="resource-not-an-object"),
+        pytest.param([(("resources", 1, "name"), _DELETE)], "resources[1].name: missing field",
+                     id="missing-name"),
+        pytest.param([(("resources", 1, "name"), 7)], "resources[1].name: expected a string, got 7",
+                     id="number-name"),
+        pytest.param([(("resources", 0, "capacity"), _DELETE)],
+                     "resources[0].capacity: missing field", id="missing-capacity"),
+        pytest.param([(("resources", 0, "capacity"), "4")],
+                     "resources[0].capacity: expected a number, got '4'", id="string-capacity"),
+        pytest.param([(("resources", 1, "capacity"), 0)],
+                     "resources[1].capacity: must be finite and strictly positive, got 0.0",
+                     id="zero-capacity"),
+        pytest.param([(("resources", 0, "capacity"), math.inf)],
+                     "resources[0].capacity: must be finite and strictly positive, got inf",
+                     id="infinite-capacity"),
+        pytest.param([(("user_types",), _DELETE)], "instance.user_types: missing field",
+                     id="no-user-types"),
+        pytest.param([(("user_types",), {"a": 1})],
+                     "instance.user_types: expected a non-empty list", id="user-types-not-a-list"),
+        pytest.param([(("gamma",), _DELETE)], "instance.gamma: missing field", id="no-gamma"),
+        pytest.param([(("gamma",), "1")], "instance.gamma: expected a number, got '1'",
+                     id="string-gamma"),
+        pytest.param([(("user_types", 1), [1, 2])], "user_types[1]: expected an object",
+                     id="type-not-an-object"),
+        pytest.param([(("user_types", 0, "label"), _DELETE)], "user_types[0].label: missing field",
+                     id="missing-label"),
+        pytest.param([(("user_types", 0, "label"), None)],
+                     "user_types[0].label: expected a string, got None", id="null-label"),
+        pytest.param([(("user_types", 2, "count"), _DELETE)], "user_types[2].count: missing field",
+                     id="missing-count"),
+        pytest.param([(("user_types", 1, "alpha"), _DELETE)], "user_types[1].alpha: missing field",
+                     id="missing-alpha"),
+        pytest.param([(("user_types", 1, "c"), _DELETE)], "user_types[1].c: missing field",
+                     id="missing-c"),
+        pytest.param([(("user_types", 0, "requirements"), _DELETE)],
+                     "user_types[0].requirements: missing field", id="missing-requirements"),
+        pytest.param([(("user_types", 0, "count"), True)],
+                     "user_types[0].count: expected a positive integer, got True", id="bool-count"),
+        pytest.param([(("user_types", 1, "count"), 2.0)],
+                     "user_types[1].count: expected a positive integer, got 2.0", id="float-count"),
+        pytest.param([(("user_types", 2, "count"), 0)],
+                     "user_types[2].count: expected a positive integer, got 0", id="zero-count"),
+        pytest.param([(("user_types", 0, "alpha"), "0.5")],
+                     "user_types[0].alpha: expected a number, got '0.5'", id="string-alpha"),
+        pytest.param([(("user_types", 2, "c"), None)],
+                     "user_types[2].c: expected a number, got None", id="null-c"),
+        pytest.param([(("user_types", 1, "requirements", 1), False)],
+                     "user_types[1].requirements[1]: expected a number, got False",
+                     id="bool-requirement"),
+        pytest.param([(("user_types", 0, "requirements", 0), "1")],
+                     "user_types[0].requirements[0]: expected a number, got '1'",
+                     id="string-requirement"),
+        pytest.param([(("user_types", 0, "requirements"), 1.0)],
+                     "user_types[0].requirements: expected a list", id="requirements-not-a-list"),
+        pytest.param([(("user_types", 2, "requirements"), [0.5])],
+                     "instance: user_types[2].requirements: expected 2 entries, got 1",
+                     id="short-requirements"),
+        pytest.param([(("user_types", 0, "requirements"), [0.5, 1.0, 2.0])],
+                     "instance: user_types[0].requirements: expected 2 entries, got 3",
+                     id="long-requirements"),
+        pytest.param([(("user_types", 0, "requirements", 1), math.nan)],
+                     f"user_types[0]: requirements {_BOUND} [0.4 nan]", id="nan-requirement"),
+        pytest.param([(("user_types", 1, "requirements", 0), math.inf)],
+                     f"user_types[1]: requirements {_BOUND} [ inf 0.02]",
+                     id="infinite-requirement"),
+        pytest.param([(("user_types", 1, "requirements", 0), -0.5)],
+                     f"user_types[1]: requirements {_BOUND} [-0.5   0.02]",
+                     id="negative-requirement"),
+        pytest.param([(("user_types", 2, "requirements"), [0, 0.0])],
+                     f"user_types[2]: requirements {_BOUND} [0. 0.]", id="zero-requirements"),
+        pytest.param([(("user_types", 0, "alpha"), 0)],
+                     "user_types[0]: alpha must lie in (0, 1], got 0.0", id="zero-alpha"),
+        pytest.param([(("user_types", 2, "alpha"), 1.5)],
+                     "user_types[2]: alpha must lie in (0, 1], got 1.5", id="large-alpha"),
+        pytest.param([(("user_types", 1, "c"), 0.0)],
+                     "user_types[1]: c must be finite and positive, got 0.0", id="zero-c"),
+        pytest.param([(("user_types", 1, "c"), -2)],
+                     "user_types[1]: c must be finite and positive, got -2.0", id="negative-c"),
+        pytest.param([(("gamma",), 0)], "instance: discount must lie in (0, 1], got 0.0",
+                     id="zero-gamma"),
+        pytest.param([(("gamma",), 1.25)], "instance: discount must lie in (0, 1], got 1.25",
+                     id="large-gamma"),
+        pytest.param([(("gamma",), 0.2)],
+                     f"instance: user_types[0]: discount 0.2 must exceed 1 - alpha = 0.6; {_LAW}",
+                     id="discount-below-one-minus-alpha"),
+        pytest.param([(("gamma",), 0.65), (("user_types", 1, "alpha"), 0.2),
+                      (("user_types", 2, "alpha"), 0.3), (("user_types", 2, "requirements"), [1])],
+                     f"instance: user_types[1]: discount 0.65 must exceed 1 - alpha = 0.8; {_LAW}",
+                     id="first-failing-type-named"),
+        pytest.param([(("gamma",), 0.65), (("user_types", 1, "requirements"), [1.0]),
+                      (("user_types", 2, "alpha"), 0.3)],
+                     "instance: user_types[1].requirements: expected 2 entries, got 1",
+                     id="earlier-size-before-later-discount"),
+        pytest.param([(("user_types", 2, "c"), 1e300)],
+                     "instance: user_types[2]: demand coefficient inf (from c = 1e+300) must be "
+                     "a positive float", id="overflowing-coefficient"),
+        pytest.param([(("user_types", 1, "c"), 1e-300), (("user_types", 1, "alpha"), 0.5)],
+                     "instance: user_types[1]: demand coefficient 0.0 (from c = 1e-300) must be "
+                     "a positive float", id="vanishing-coefficient"),
+        pytest.param([(("user_types", 0, "c"), 1e300), (("user_types", 0, "alpha"), 1),
+                      (("gamma",), 0.5)],
+                     "instance: user_types[0]: demand coefficient inf (from c = 1e+300) must be "
+                     "a positive float", id="overflowing-log-utility-coefficient"),
+    ],
+)
+def test_parse_error_messages(edits, message):
+    with pytest.raises(ValueError) as err:
+        instance_from_json(_spoiled_json(*edits))
+    assert str(err.value) == message
+
+
+def _rebuilt_columns(instance: Instance) -> dict:
+    """Every per-type array of an instance, rebuilt from its user types."""
+    users = instance.user_types
+    kernel = NetUtilityKernel([u.utility for u in users], instance.discount)
+    return {
+        "counts": np.array([u.count for u in users], dtype=float),
+        "requirement_matrix": np.column_stack([u.requirements for u in users]),
+        "alphas": np.array([u.utility.alpha for u in users]),
+        **{f"kernel.{name}": value for name, value in vars(kernel).items()
+           if isinstance(value, np.ndarray)},
+    }
+
+
+def _cached_columns(instance: Instance) -> dict:
+    kernel = instance.utility_kernel()
+    return {
+        "counts": instance.counts,
+        "requirement_matrix": instance.requirement_matrix,
+        "alphas": instance.alphas,
+        **{f"kernel.{name}": value for name, value in vars(kernel).items()
+           if isinstance(value, np.ndarray)},
+    }
+
+
+class TestCachedColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        n=st.integers(1, 12),
+        log_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_round_trip_columns_match_a_rebuild_bit_for_bit(self, seed, m, n, log_share):
+        rng = np.random.default_rng(seed)
+        market = random_instance(rng, m=m, n=n)
+        # log-utility types and zero requirement entries exercise the kernel's masks
+        users = []
+        for u in market.user_types:
+            zeroed = np.where(rng.random(m) < 0.3, 0.0, u.requirements)
+            log_type = rng.random() < log_share
+            users.append(dataclasses.replace(
+                u,
+                requirements=zeroed if np.any(zeroed > 0.0) else u.requirements,
+                utility=UtilityParams(1.0, u.utility.c) if log_type else u.utility,
+            ))
+        market = dataclasses.replace(market, user_types=users)
+        loaded = instance_from_json(json.loads(json.dumps(instance_to_json(market))))
+        cached, rebuilt = _cached_columns(loaded), _rebuilt_columns(loaded)
+        assert cached.keys() == rebuilt.keys()
+        for name, array in cached.items():
+            expected = rebuilt[name]
+            assert (array.dtype, array.shape) == (expected.dtype, expected.shape), name
+            assert array.tobytes() == expected.tobytes(), name
+        assert instance_to_json(loaded) == instance_to_json(market)
+
+    def test_repeated_access_returns_the_same_arrays(self, reference_instance):
+        first, second = _cached_columns(reference_instance), _cached_columns(reference_instance)
+        assert reference_instance.utility_kernel() is reference_instance.utility_kernel()
+        for name, array in first.items():
+            assert second[name] is array, name
+
+    def test_arrays_are_read_only(self, reference_instance):
+        columns = _cached_columns(reference_instance)
+        assert {"kernel.k", "kernel.e", "kernel.A", "kernel.log_types"} <= columns.keys()
+        for name, array in columns.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_replaced_instances_get_fresh_arrays(self, reference_instance):
+        old = _cached_columns(reference_instance)
+        scaled = dataclasses.replace(reference_instance, discount=0.9)
+        new = _cached_columns(scaled)
+        for name, array in new.items():
+            assert array is not old[name], name
+        assert scaled.utility_kernel() is not reference_instance.utility_kernel()
+        assert not np.array_equal(new["kernel.e"], old["kernel.e"])
+        for name, array in _rebuilt_columns(scaled).items():
+            assert np.array_equal(new[name], array), name
