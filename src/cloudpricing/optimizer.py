@@ -163,31 +163,34 @@ def objective(instance: Instance, plan: PricingPlan, spec: ObjectiveSpec) -> flo
     return spec.nu * outcome.revenue + fairness
 
 
-def concavity_weight_bound(instance: Instance, beta: float, gamma: float | None = None) -> float:
+def concavity_weight_bound(instance: Instance, beta: float) -> float:
     """Largest certified revenue weight keeping the objective concave.
 
     Any ``nu`` at or below the returned value makes ``nu * revenue + F_beta``
     a concave function of the prices, so price optimization is a convex
     program.  Requires ``beta > 1``; returns 0 when ``beta * (1 - alpha_j)``
     does not exceed the discount for every type (no certificate available).
+    Each type's term is a product of four powers, formed in logs from the
+    market's columns at once, so no factor overflows where the product
+    does not.
     """
     if not beta > 1.0:
         raise ValueError(f"the concavity certificate needs beta > 1, got {beta}")
-    g = instance.discount if gamma is None else gamma
-    capacities = instance.resources.capacities
-    bound = math.inf
-    for j, user in enumerate(instance.user_types):
-        alpha = user.utility.alpha
-        if alpha >= 1.0 or beta * (1.0 - alpha) <= g:
-            return 0.0
-        head = ((g + alpha - 1.0) / (1.0 - alpha)) ** (1.0 - beta)
-        power = g ** (beta * g / (alpha + g - 1.0) - 1.0)
-        margin = beta * (1.0 - alpha) - g
-        positive = user.requirements > 0.0
-        headroom = float(np.max(capacities[positive] / user.requirements[positive]))
-        scale = headroom ** (beta * (alpha - 1.0) / g)
-        bound = min(bound, head * power * margin * scale)
-    return bound
+    g, alpha = instance.discount, instance.alphas
+    if (alpha >= 1.0).any() or (beta * (1.0 - alpha) <= g).any():
+        return 0.0
+    R = instance.requirement_matrix
+    capacities = instance.resources.capacities[:, None]
+    # every type needs some resource, so its largest headroom is positive
+    headroom = np.divide(capacities, R, out=np.zeros_like(R), where=R > 0.0).max(axis=0)
+    log_terms = (
+        (1.0 - beta) * np.log((g + alpha - 1.0) / (1.0 - alpha))
+        + (beta * g / (alpha + g - 1.0) - 1.0) * math.log(g)
+        + np.log(beta * (1.0 - alpha) - g)
+        + (beta * (alpha - 1.0) / g) * np.log(headroom)
+    )
+    with np.errstate(over="ignore"):  # a bound beyond float range is inf
+        return float(np.exp(log_terms.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +479,10 @@ def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
     costs = problem.costs(prices)
     if (costs <= 0.0).any():
         return math.inf
-    with np.errstate(over="ignore", divide="ignore"):
+    # a zero requirement times an overflowed demand is a NaN slack, outside too
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         slack = problem.slacks(costs)
-        if (slack <= 0.0).any():
+        if not (slack > 0.0).all():
             return math.inf
         value = problem._objective(spec, costs)
     if not math.isfinite(value):

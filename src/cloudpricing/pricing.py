@@ -409,9 +409,15 @@ def _require(obj: dict, key: str, path: str):
 
 def _number(value, path: str, index=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        where = path if index is None else f"{path}[{index}]"
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+        problem = f"expected a number, got {value!r}"
+    else:
+        try:
+            return float(value)
+        except OverflowError:  # json reads integers of any size
+            digits = len(str(abs(value)))
+            problem = f"expected a number in float range, got a {digits}-digit integer"
+    where = path if index is None else f"{path}[{index}]"
+    raise ValueError(f"{where}: {problem}")
 
 
 def _string(value, path: str) -> str:

@@ -114,32 +114,25 @@ def objective_price_hessian(
 # demand
 
 
-def _check_demand_roots(rng, samples: int) -> CheckResult:
+def _check_demand_roots(rng, samples: int) -> tuple[bool, str]:
     worst = 0.0
     for utility, r, gamma in random_demand_tuples(rng, samples):
         closed = optimal_demand(utility, r, gamma)
         root = demand_by_bisection(utility.marginal, r, gamma)
         worst = max(worst, abs(closed - root) / root)
-    return CheckResult(
-        "demand-closed-form-vs-bisection",
-        "demand",
-        worst <= 1e-9,
-        f"max relative gap {worst:.3e} over {samples} parameter draws",
-    )
+    return worst <= 1e-9, f"max relative gap {worst:.3e} over {samples} parameter draws"
 
 
-def _check_demand_monotone(rng, samples: int) -> CheckResult:
+def _check_demand_monotone(rng, samples: int) -> tuple[bool, str]:
     ok = True
     for utility, _r, gamma in random_demand_tuples(rng, samples // 4):
         grid = np.sort(rng.uniform(0.01, 100.0, size=8))
         values = [optimal_demand(utility, float(r), gamma) for r in grid]
         ok &= all(b < a for a, b in zip(values, values[1:]))
-    return CheckResult(
-        "demand-monotone-in-cost", "demand", ok, "demand strictly falls on sorted cost grids"
-    )
+    return ok, "demand strictly falls on sorted cost grids"
 
 
-def _check_demand_sensitivity(rng, samples: int) -> CheckResult:
+def _check_demand_sensitivity(rng, samples: int) -> tuple[bool, str]:
     worst = 0.0
     for utility, r, gamma in random_demand_tuples(rng, samples):
         analytic = demand_sensitivity(utility, r, gamma)
@@ -150,15 +143,10 @@ def _check_demand_sensitivity(rng, samples: int) -> CheckResult:
         worst = max(worst, abs(analytic - numeric) / abs(numeric))
         if analytic >= 0.0:
             worst = np.inf
-    return CheckResult(
-        "demand-sensitivity-finite-difference",
-        "demand",
-        worst <= 1e-5,
-        f"max relative gap {worst:.3e}; all sensitivities negative",
-    )
+    return worst <= 1e-5, f"max relative gap {worst:.3e}; all sensitivities negative"
 
 
-def _check_surplus_identity(rng, samples: int) -> CheckResult:
+def _check_surplus_identity(rng, samples: int) -> tuple[bool, str]:
     worst = 0.0
     for utility, r, gamma in random_demand_tuples(rng, samples):
         x = optimal_demand(utility, r, gamma)
@@ -166,25 +154,18 @@ def _check_surplus_identity(rng, samples: int) -> CheckResult:
         coefficient = gamma / (1.0 - utility.alpha) - 1.0
         closed = coefficient * r * x**gamma
         worst = max(worst, abs(direct - closed) / closed)
-    return CheckResult(
-        "net-utility-surplus-identity",
-        "demand",
+    return (
         worst <= 1e-9,
         f"surplus equals (gamma/(1-alpha)-1) * cost * demand**gamma; max gap {worst:.3e}",
     )
 
 
-def _check_second_order(rng, samples: int) -> CheckResult:
+def _check_second_order(rng, samples: int) -> tuple[bool, str]:
     ok = True
     for utility, r, gamma in random_demand_tuples(rng, samples):
         x = optimal_demand(utility, r, gamma)
         ok &= utility.curvature(x) < gamma * (gamma - 1.0) * x ** (gamma - 2.0) * r
-    return CheckResult(
-        "demand-second-order-condition",
-        "demand",
-        ok,
-        "curvature condition for a maximum holds at every returned demand",
-    )
+    return ok, "curvature condition for a maximum holds at every returned demand"
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +193,7 @@ def revenue_slope(instance: Instance, plan_of, prices: np.ndarray, k: int) -> fl
     return (up - down) / (2.0 * h)
 
 
-def _check_revenue_decreasing(rng, n_instances: int, n_points: int) -> CheckResult:
+def _check_revenue_decreasing(rng, n_instances: int, n_points: int) -> tuple[bool, str]:
     ok = True
     worst = -np.inf
     for _ in range(n_instances):
@@ -224,15 +205,10 @@ def _check_revenue_decreasing(rng, n_instances: int, n_points: int) -> CheckResu
                     slope = revenue_slope(instance, plan_of, prices, k)
                     worst = max(worst, slope)
                     ok &= slope < 0.0
-    return CheckResult(
-        "revenue-decreasing-in-price",
-        "plans",
-        ok,
-        f"finite-difference revenue slope always negative (max {worst:.3e})",
-    )
+    return ok, f"finite-difference revenue slope always negative (max {worst:.3e})"
 
 
-def _check_log_utility_revenue(rng) -> CheckResult:
+def _check_log_utility_revenue() -> tuple[bool, str]:
     instance = Instance(
         resources=ResourceModel(names=("r",), capacities=(50.0,)),
         user_types=(UserType("log", 3, (1.0,), UtilityParams(1.0, 2.0)),),
@@ -243,15 +219,13 @@ def _check_log_utility_revenue(rng) -> CheckResult:
         for p in (0.5, 1.0, 2.0, 7.3)
     ]
     spread = max(revenues) - min(revenues)
-    return CheckResult(
-        "log-utility-revenue-constant",
-        "plans",
+    return (
         spread <= 1e-9,
         f"revenue spread {spread:.3e} across prices for log utility without discount",
     )
 
 
-def _check_usage_monotone_convex(rng, n_instances: int) -> CheckResult:
+def _check_usage_monotone_convex(rng, n_instances: int) -> tuple[bool, str]:
     ok = True
     for _ in range(n_instances):
         instance = random_instance(rng)
@@ -275,15 +249,10 @@ def _check_usage_monotone_convex(rng, n_instances: int) -> CheckResult:
                 evaluate(instance, ResourcePlan(prices=q)).usage,
             )
             ok &= bool(np.all(mix <= cap + 1e-9))
-    return CheckResult(
-        "usage-decreasing-and-convex",
-        "plans",
-        ok,
-        "usage falls in every price and mixtures never exceed the componentwise max",
-    )
+    return ok, "usage falls in every price and mixtures never exceed the componentwise max"
 
 
-def _check_lift(rng, n_instances: int) -> CheckResult:
+def _check_lift(rng, n_instances: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n_instances):
         instance = random_instance(rng)
@@ -298,12 +267,7 @@ def _check_lift(rng, n_instances: int) -> CheckResult:
                 abs(a.revenue - b.revenue),
                 float(np.max(np.abs(a.usage - b.usage))),
             )
-    return CheckResult(
-        "resource-to-differentiated-lift",
-        "plans",
-        worst <= 1e-12,
-        f"lifted plans reproduce outcomes exactly (max gap {worst:.3e})",
-    )
+    return worst <= 1e-12, f"lifted plans reproduce outcomes exactly (max gap {worst:.3e})"
 
 
 def _shared_dominant_instance(rng) -> Instance:
@@ -317,7 +281,7 @@ def _shared_dominant_instance(rng) -> Instance:
             return instance
 
 
-def _check_plan_dominance(rng, n_instances: int) -> CheckResult:
+def _check_plan_dominance(rng, n_instances: int) -> tuple[bool, str]:
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
     ok = True
     details = []
@@ -338,20 +302,15 @@ def _check_plan_dominance(rng, n_instances: int) -> CheckResult:
             f"(bundled {bundled_value:.4g} <= resource {res.objective_value:.4g} "
             f"<= differentiated {diff.objective_value:.4g})"
         )
-    return CheckResult(
-        "plan-dominance-at-optimum",
-        "plans",
-        ok,
-        "differentiated >= resource >= bundled under a shared dominant resource "
-        + details[0],
-    )
+    claim = "differentiated >= resource >= bundled under a shared dominant resource"
+    return ok, f"{claim} {details[0]}"
 
 
 # ---------------------------------------------------------------------------
 # fairness
 
 
-def _check_fairness_symmetry(rng, samples: int) -> CheckResult:
+def _check_fairness_symmetry(rng, samples: int) -> tuple[bool, str]:
     ok = True
     for _ in range(samples):
         values = rng.uniform(0.1, 10.0, size=int(rng.integers(2, 7)))
@@ -364,12 +323,10 @@ def _check_fairness_symmetry(rng, samples: int) -> CheckResult:
         a = beta_lambda_fairness(values, spec)
         b = beta_lambda_fairness(shuffled, spec)
         ok &= abs(a - b) <= 1e-9 * abs(a)
-    return CheckResult(
-        "fairness-permutation-symmetry", "fairness", ok, "invariant under reordering users"
-    )
+    return ok, "invariant under reordering users"
 
 
-def _check_ranking_equivalence(rng, samples: int) -> CheckResult:
+def _check_ranking_equivalence(rng, samples: int) -> tuple[bool, str]:
     ok = True
     for beta in (0.5, 2.0, 5.0):
         spec = FairnessSpec(beta=beta, lam=1.0 / beta - 1.0)
@@ -377,15 +334,10 @@ def _check_ranking_equivalence(rng, samples: int) -> CheckResult:
         one = sorted(range(samples), key=lambda i: beta_fairness(vectors[i], beta))
         two = sorted(range(samples), key=lambda i: beta_lambda_fairness(vectors[i], spec))
         ok &= one == two
-    return CheckResult(
-        "fairness-ranking-equivalence",
-        "fairness",
-        ok,
-        "power-sum and two-parameter forms rank identically at the matched exponent",
-    )
+    return ok, "power-sum and two-parameter forms rank identically at the matched exponent"
 
 
-def _check_pareto(rng, samples: int) -> CheckResult:
+def _check_pareto(rng, samples: int) -> tuple[bool, str]:
     ok = True
     for _ in range(samples):
         beta = float(rng.uniform(0.2, 3.0))
@@ -401,15 +353,10 @@ def _check_pareto(rng, samples: int) -> CheckResult:
         bumps[int(rng.integers(0, v.size))] = True
         u[bumps] += rng.uniform(0.01, 1.0, size=int(np.sum(bumps)))
         ok &= pareto_probe(spec, u, v)
-    return CheckResult(
-        "pareto-improvement-raises-fairness",
-        "fairness",
-        ok,
-        "dominating utility vectors always score strictly higher",
-    )
+    return ok, "dominating utility vectors always score strictly higher"
 
 
-def _check_log_domain(rng, samples: int) -> CheckResult:
+def _check_log_domain(rng, samples: int) -> tuple[bool, str]:
     import mpmath
 
     mpmath.mp.dps = 60
@@ -423,19 +370,14 @@ def _check_log_domain(rng, samples: int) -> CheckResult:
             / (1.0 - beta)
         )
         worst = max(worst, abs(ours - reference) / abs(reference))
-    return CheckResult(
-        "large-beta-log-domain",
-        "fairness",
-        worst <= 1e-6,
-        f"beta=20 evaluation matches 60-digit arithmetic; max gap {worst:.3e}",
-    )
+    return worst <= 1e-6, f"beta=20 evaluation matches 60-digit arithmetic; max gap {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
 
-def _check_concavity_certificate(rng, n_points: int) -> CheckResult:
+def _check_concavity_certificate(rng, n_points: int) -> tuple[bool, str]:
     instance = google_cluster_instance()
     beta = 20.0
     bound = concavity_weight_bound(instance, beta)
@@ -445,16 +387,13 @@ def _check_concavity_certificate(rng, n_points: int) -> CheckResult:
         hess = objective_price_hessian(instance, "resource", spec, prices)
         scale = max(1.0, float(np.max(np.abs(hess))))
         worst = max(worst, float(np.max(np.linalg.eigvalsh(hess))) / scale)
-    return CheckResult(
-        "concavity-certificate-hessian",
-        "bounds",
+    return (
         worst <= 1e-6,
-        f"max scaled Hessian eigenvalue {worst:.3e} at nu = 0.99 * certified bound "
-        f"({bound:.3e})",
+        f"max scaled Hessian eigenvalue {worst:.3e} at nu = 0.99 * certified bound ({bound:.3e})",
     )
 
 
-def _check_tradeoff_bounds(rng, n_instances: int, n_points: int) -> CheckResult:
+def _check_tradeoff_bounds(rng, n_instances: int, n_points: int) -> tuple[bool, str]:
     ok = True
     for _ in range(n_instances):
         instance = random_instance(rng)
@@ -465,12 +404,7 @@ def _check_tradeoff_bounds(rng, n_instances: int, n_points: int) -> CheckResult:
                 for beta in (0.5, 2.0):
                     holds, _slack = tradeoff_bound_check(instance, plan, beta)
                     ok &= holds
-    return CheckResult(
-        "tradeoff-bounds-hold",
-        "bounds",
-        ok,
-        "revenue/fairness floors hold at random feasible plans for beta in {0.5, 2}",
-    )
+    return ok, "revenue/fairness floors hold at random feasible plans for beta in {0.5, 2}"
 
 
 def _single_type_instance() -> Instance:
@@ -482,7 +416,7 @@ def _single_type_instance() -> Instance:
     )
 
 
-def _check_tradeoff_equality(rng) -> CheckResult:
+def _check_tradeoff_equality() -> tuple[bool, str]:
     instance = _single_type_instance()
     worst = 0.0
     for price in (0.6, 1.0, 3.0):
@@ -490,9 +424,7 @@ def _check_tradeoff_equality(rng) -> CheckResult:
         for beta in (0.5, 2.0):
             _holds, slack = tradeoff_bound_check(instance, plan, beta)
             worst = max(worst, abs(slack))
-    return CheckResult(
-        "tradeoff-bound-single-type-equality",
-        "bounds",
+    return (
         worst <= 1e-9,
         f"single-type half-elastic market collapses both bounds to equality ({worst:.3e})",
     )
@@ -502,37 +434,31 @@ def _check_tradeoff_equality(rng) -> CheckResult:
 # oracle
 
 
-def _check_oracle_toy(rng) -> CheckResult:
+def _check_oracle_toy() -> tuple[bool, str]:
     toy = _single_type_instance()
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
     grid = grid_oracle(toy, "differentiated", spec, [np.arange(0.4, 1.2, 1e-4)])
     solved = barrier_optimize(toy, "differentiated", spec, 1e-9)
     gap = abs(solved.objective_value - grid.objective_value) / abs(grid.objective_value)
     price_gap = abs(float(solved.plan.prices[0]) - 0.5)
-    return CheckResult(
-        "barrier-vs-grid-single-type",
-        "oracle",
+    return (
         gap <= 1e-3 and price_gap <= 1e-4,
         f"objective gap {gap:.3e}, price gap {price_gap:.3e} (optimum 0.5)",
     )
 
 
-def _check_oracle_reference(rng) -> CheckResult:
+def _check_oracle_reference() -> tuple[bool, str]:
     instance = google_cluster_instance()
     spec = ObjectiveSpec(nu=1.0, beta=2.0)
     axes = [np.arange(0.05, 10.0001, 0.05)] * 2
     grid = grid_oracle(instance, "resource", spec, axes)
     solved = barrier_optimize(instance, "resource", spec)
     floor = grid.objective_value - 1e-3 * abs(grid.objective_value)
-    return CheckResult(
-        "barrier-at-least-grid-reference",
-        "oracle",
-        solved.objective_value >= floor,
-        f"barrier {solved.objective_value:.6g} vs grid floor {floor:.6g}",
-    )
+    value = solved.objective_value
+    return value >= floor, f"barrier {value:.6g} vs grid floor {floor:.6g}"
 
 
-def _check_bundled_invariance(rng) -> CheckResult:
+def _check_bundled_invariance() -> tuple[bool, str]:
     """The closed-form bundled optimum against routes that share none of its code.
 
     At each revenue weight the one-price barrier ladder, run from the
@@ -554,9 +480,7 @@ def _check_bundled_invariance(rng) -> CheckResult:
         short /= max(1.0, abs(closed.objective_value))
         ok &= closed.outcome.feasible and gap <= 1e-6 and short <= 1e-6
         price_gap, shortfall = max(price_gap, gap), max(shortfall, short)
-    return CheckResult(
-        "bundled-price-weight-invariance",
-        "oracle",
+    return (
         ok,
         f"closed form vs the one-price ladder at nu 0, 1, 100: price gap {price_gap:.3e}; "
         f"ladder or grid above it by at most {shortfall:.3e} relative",
@@ -567,7 +491,7 @@ def _check_bundled_invariance(rng) -> CheckResult:
 # clustering
 
 
-def _check_clustering(rng) -> CheckResult:
+def _check_clustering() -> tuple[bool, str]:
     centers = np.array([[0.4, 2.7], [0.01, 0.02], [0.6, 0.5]])
     separation = min(
         float(np.linalg.norm(a - b)) for i, a in enumerate(centers) for b in centers[i + 1 :]
@@ -583,9 +507,7 @@ def _check_clustering(rng) -> CheckResult:
         b <= a + 1e-9 for a, b in zip(model.objective_history, model.objective_history[1:])
     )
     best_of = model.inertia <= min(model.restart_inertias) + 1e-12
-    return CheckResult(
-        "planted-clusters-recovered",
-        "clustering",
+    return (
         worst <= 0.05 and monotone and best_of,
         f"max centroid error {worst:.2%}; objective monotone; best-of-restarts minimal",
     )
@@ -593,11 +515,46 @@ def _check_clustering(rng) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 
-SCOPES = ("demand", "plans", "fairness", "bounds", "oracle", "clustering")
+# Every check in run order, as (check_id, scope, run): ``run(rng, samples)``
+# calls the check with its own sample budget and returns (passed, detail).
+# Each run names its check function when it is called, so a replaced module
+# attribute is the one that runs.
+_CHECKS = (
+    ("demand-closed-form-vs-bisection", "demand", lambda rng, n: _check_demand_roots(rng, n)),
+    ("demand-monotone-in-cost", "demand", lambda rng, n: _check_demand_monotone(rng, n)),
+    ("demand-sensitivity-finite-difference", "demand",
+     lambda rng, n: _check_demand_sensitivity(rng, n)),
+    ("net-utility-surplus-identity", "demand", lambda rng, n: _check_surplus_identity(rng, n)),
+    ("demand-second-order-condition", "demand", lambda rng, n: _check_second_order(rng, n)),
+    ("revenue-decreasing-in-price", "plans",
+     lambda rng, n: _check_revenue_decreasing(rng, 4, 10)),
+    ("log-utility-revenue-constant", "plans", lambda rng, n: _check_log_utility_revenue()),
+    ("usage-decreasing-and-convex", "plans",
+     lambda rng, n: _check_usage_monotone_convex(rng, 4)),
+    ("resource-to-differentiated-lift", "plans", lambda rng, n: _check_lift(rng, 4)),
+    ("plan-dominance-at-optimum", "plans", lambda rng, n: _check_plan_dominance(rng, 3)),
+    ("fairness-permutation-symmetry", "fairness",
+     lambda rng, n: _check_fairness_symmetry(rng, max(1, n // 2))),
+    ("fairness-ranking-equivalence", "fairness",
+     lambda rng, n: _check_ranking_equivalence(rng, 60)),
+    ("pareto-improvement-raises-fairness", "fairness", lambda rng, n: _check_pareto(rng, n)),
+    ("large-beta-log-domain", "fairness", lambda rng, n: _check_log_domain(rng, max(1, n // 2))),
+    ("concavity-certificate-hessian", "bounds",
+     lambda rng, n: _check_concavity_certificate(rng, 25)),
+    ("tradeoff-bounds-hold", "bounds", lambda rng, n: _check_tradeoff_bounds(rng, 5, 10)),
+    ("tradeoff-bound-single-type-equality", "bounds",
+     lambda rng, n: _check_tradeoff_equality()),
+    ("barrier-vs-grid-single-type", "oracle", lambda rng, n: _check_oracle_toy()),
+    ("barrier-at-least-grid-reference", "oracle", lambda rng, n: _check_oracle_reference()),
+    ("bundled-price-weight-invariance", "oracle", lambda rng, n: _check_bundled_invariance()),
+    ("planted-clusters-recovered", "clustering", lambda rng, n: _check_clustering()),
+)
+
+SCOPES = tuple(dict.fromkeys(scope for _check_id, scope, _run in _CHECKS))
 
 
 def run_checks(scopes=None, seed: int = 0, samples: int = 200) -> list[CheckResult]:
-    """Run the verification checks for the requested scopes."""
+    """Run the verification checks for the requested scopes, in table order."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     selected = tuple(scopes) if scopes else SCOPES
@@ -605,32 +562,8 @@ def run_checks(scopes=None, seed: int = 0, samples: int = 200) -> list[CheckResu
     if unknown:
         raise ValueError(f"unknown scopes {sorted(unknown)}; valid: {SCOPES}")
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-    if "demand" in selected:
-        results.append(_check_demand_roots(rng, samples))
-        results.append(_check_demand_monotone(rng, samples))
-        results.append(_check_demand_sensitivity(rng, samples))
-        results.append(_check_surplus_identity(rng, samples))
-        results.append(_check_second_order(rng, samples))
-    if "plans" in selected:
-        results.append(_check_revenue_decreasing(rng, 4, 10))
-        results.append(_check_log_utility_revenue(rng))
-        results.append(_check_usage_monotone_convex(rng, 4))
-        results.append(_check_lift(rng, 4))
-        results.append(_check_plan_dominance(rng, 3))
-    if "fairness" in selected:
-        results.append(_check_fairness_symmetry(rng, max(1, samples // 2)))
-        results.append(_check_ranking_equivalence(rng, 60))
-        results.append(_check_pareto(rng, samples))
-        results.append(_check_log_domain(rng, max(1, samples // 2)))
-    if "bounds" in selected:
-        results.append(_check_concavity_certificate(rng, 25))
-        results.append(_check_tradeoff_bounds(rng, 5, 10))
-        results.append(_check_tradeoff_equality(rng))
-    if "oracle" in selected:
-        results.append(_check_oracle_toy(rng))
-        results.append(_check_oracle_reference(rng))
-        results.append(_check_bundled_invariance(rng))
-    if "clustering" in selected:
-        results.append(_check_clustering(rng))
-    return results
+    return [
+        CheckResult(check_id, scope, *run(rng, samples))
+        for check_id, scope, run in _CHECKS
+        if scope in selected
+    ]

@@ -136,6 +136,8 @@ def _spoiled_instance(field: str) -> dict:
         obj["user_types"][0]["c"] = 1e300
     elif field == "count":
         obj["user_types"][0]["count"] = 10**400
+    elif field == "alpha":
+        obj["user_types"][0]["alpha"] = 10**400
     elif field == "capacity":
         obj["resources"][0]["capacity"] = float("inf")
     else:
@@ -149,6 +151,7 @@ def _spoiled_instance(field: str) -> dict:
         ("c-infinite", "user_types[0]: c must be finite"),
         ("c-overflow", "user_types[0]: demand coefficient inf (from c = 1e+300)"),
         ("count", "user_types[0]: count must be a positive integer in float range"),
+        ("alpha", "user_types[0].alpha: expected a number in float range, got a 401-digit"),
         ("capacity", "resources[0].capacity: must be finite"),
         ("requirement", "user_types[0]: requirements must be finite"),
     ],

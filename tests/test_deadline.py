@@ -494,6 +494,20 @@ class TestHorizonJson:
         assert spec.intervals[0].nu == 0.5
         assert spec.intervals[1].nu == 0.0
 
+    def test_nu_beyond_float_range(self):
+        # json reads integers of any size; nu takes the instance numbers' rule
+        payload = {
+            "horizon": 1,
+            "intervals": [
+                {"instance": instance_to_json(single_type_market(4.0)), "deadlines": [1],
+                 "nu": 10**400},
+            ],
+        }
+        message = "intervals[0].nu: expected a number in float range, got a 401-digit integer"
+        with pytest.raises(ValueError) as err:
+            horizon_spec_from_json(payload)
+        assert str(err.value) == message
+
     def test_error_paths(self):
         with pytest.raises(ValueError, match="horizon"):
             horizon_spec_from_json({"intervals": []})

@@ -118,6 +118,45 @@ class TestConcavityBound:
             9.0 * 12.0**-10.0, rel=1e-12
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.floats(1.01, 40.0))
+    def test_matches_the_per_type_formula(self, seed, beta):
+        rng = np.random.default_rng(seed)
+        market = random_instance(rng, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 9)))
+        # zero some requirements, keeping each type's largest
+        R = market.requirement_matrix
+        R = np.where((rng.random(R.shape) < 0.3) & (R < R.max(axis=0)), 0.0, R)
+        users = tuple(replace(u, requirements=R[:, j]) for j, u in enumerate(market.user_types))
+        instance = replace(market, user_types=users)
+        g, expected = instance.discount, math.inf
+        for user in users:
+            a = user.utility.alpha
+            if beta * (1.0 - a) <= g:
+                expected = 0.0
+                break
+            headroom = max(c / r for c, r in zip(instance.resources.capacities, user.requirements)
+                           if r > 0.0)
+            expected = min(
+                expected,
+                ((g + a - 1.0) / (1.0 - a)) ** (1.0 - beta)
+                * g ** (beta * g / (a + g - 1.0) - 1.0)
+                * (beta * (1.0 - a) - g)
+                * headroom ** (beta * (a - 1.0) / g),
+            )
+        bound = concavity_weight_bound(instance, beta)
+        assert bound == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_factors_beyond_float_range(self):
+        # at beta 200 the first factor is near 1e537 and the discount's power
+        # near 1e-30080: the product underflows, with no overflow on the way
+        instance = Instance(
+            resources=ResourceModel(names=("r",), capacities=(1.0,)),
+            user_types=(UserType("a", 1, (1.0,), UtilityParams(0.5, 1.0)),),
+            discount=0.501,
+        )
+        assert concavity_weight_bound(instance, beta=200.0) == 0.0
+
     def test_nu_zero_always_certified(self, reference_instance):
         assert concavity_weight_bound(reference_instance, beta=20.0) >= 0.0
 
@@ -811,10 +850,10 @@ class TestPriceLevel:
     """Price levels are found where a float load crosses its target."""
 
     @staticmethod
-    def lopsided_market():
+    def lopsided_market(cpu=4.0):
         # at scale one the second type's demand overflows, and its zero cpu
         # requirement times that demand is NaN
-        resources = ResourceModel(names=("cpu", "mem"), capacities=np.array([4.0, 1.0]))
+        resources = ResourceModel(names=("cpu", "mem"), capacities=np.array([cpu, 1.0]))
         types = tuple(
             UserType(label, 1, np.array(need), UtilityParams(0.5, 1.0))
             for label, need in (("a", [1.0, 0.0]), ("b", [0.0, 1e-160]))
@@ -833,6 +872,22 @@ class TestPriceLevel:
     @pytest.mark.parametrize("kind", ["bundled", "resource", "differentiated"])
     def test_no_false_infeasible_verdict(self, kind):
         result = barrier_optimize(self.lopsided_market(), kind, ObjectiveSpec(1.0, 2.0))
+        assert np.all(np.isfinite(result.outcome.demands))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_slack_is_outside_the_domain(self):
+        # where the second type's demand overflows, the cpu row's slack is
+        # 1 - (x_a + 0 * inf), a NaN, and the barrier must read it as outside
+        problem = _PriceProblem(self.lopsided_market(1.0), "differentiated")
+        point = problem.point(np.array([1.0, 1e-200]))
+        assert _barrier_value(problem, ObjectiveSpec(1.0, 2.0), 1.0, point, math.inf) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["bundled", "resource", "differentiated"])
+    def test_unit_capacities_solve_or_stall(self, kind):
+        # at unit capacities the differentiated line search tries such points
+        result = barrier_optimize(self.lopsided_market(1.0), kind, ObjectiveSpec(1.0, 2.0))
+        assert result.converged or result.message.startswith("inner Newton solve stalled")
         assert np.all(np.isfinite(result.outcome.demands))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1099,6 +1154,18 @@ class TestBundledClosedForm:
         resource = barrier_optimize(instance, "resource", spec)
         differentiated = barrier_optimize(instance, "differentiated", spec)
         assert differentiated.objective_value >= resource.objective_value - 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="known defect: any converged ladder beats a stalled one")
+    def test_start_selection_keeps_the_better_ladder(self):
+        # the ladder from the default start stalls near 47.2, below the
+        # resource plan's 48.4; a later candidate's ladder converges at 11.8,
+        # and the solve returns it because it converged
+        instance = random_instance(np.random.default_rng(0), m=2, n=3)
+        spec = ObjectiveSpec(10.0, 0.5)
+        problem = _PriceProblem(instance, "differentiated")
+        first = optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
+        result = barrier_optimize(instance, "differentiated", spec)
+        assert result.objective_value >= first.value
 
 
 class TestCoarseProbe:

@@ -476,6 +476,18 @@ _LAW = "below that the user's optimum is unbounded or undefined"
                      "user_types[2].count: expected a positive integer, got 0", id="zero-count"),
         pytest.param([(("user_types", 0, "alpha"), "0.5")],
                      "user_types[0].alpha: expected a number, got '0.5'", id="string-alpha"),
+        pytest.param([(("user_types", 0, "alpha"), 10**400)],
+                     "user_types[0].alpha: expected a number in float range, got a 401-digit "
+                     "integer", id="huge-integer-alpha"),
+        pytest.param([(("resources", 1, "capacity"), -(10**309))],
+                     "resources[1].capacity: expected a number in float range, got a 310-digit "
+                     "integer", id="huge-negative-capacity"),
+        pytest.param([(("user_types", 2, "requirements", 1), 2**1024)],
+                     "user_types[2].requirements[1]: expected a number in float range, got a "
+                     "309-digit integer", id="huge-integer-requirement"),
+        pytest.param([(("gamma",), 10**400)],
+                     "instance.gamma: expected a number in float range, got a 401-digit integer",
+                     id="huge-integer-gamma"),
         pytest.param([(("user_types", 2, "c"), None)],
                      "user_types[2].c: expected a number, got None", id="null-c"),
         pytest.param([(("user_types", 1, "requirements", 1), False)],
