@@ -252,10 +252,9 @@ class NetUtilityKernel:
     theorem the surplus falls at ``-x**gamma = -A * r**(q-1)`` for every type.
 
     Calling the kernel gives net utilities; :meth:`demand` and :meth:`bill`
-    give the other two power laws, and :meth:`derivatives` the first and
-    second r-derivatives of all three.  Costs have shape ``(n,)`` or, for the
-    value methods, ``(n, c)``: row ``j`` holds type ``j``'s costs and the
-    columns are independent candidates (say, the points of a price grid).
+    give the other two power laws.  Costs have shape ``(n,)`` or ``(n, c)``:
+    row ``j`` holds type ``j``'s costs and the columns are independent
+    candidates (say, the points of a price grid).
     Unlike :func:`net_utility` the kernel neither validates nor clamps: a
     log-utility type's surplus comes back negative when it would opt out.
     Its arrays are read-only, as a market keeps its kernel.
@@ -275,13 +274,6 @@ class NetUtilityKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = (discount / (1.0 - alphas) - 1.0) * self.A
         self.surplus_coef = np.where(self.log_types, 0.0, coef)
-        # coefficient and exponent of each law's first and second r-derivative
-        ke, Aq = self.k * self.e, self.A * self.q
-        self._slopes = {
-            "demand": ((ke, self.e - 1.0), (ke * (self.e - 1.0), self.e - 2.0)),
-            "bill": ((Aq, self.q - 1.0), (Aq * (self.q - 1.0), self.q - 2.0)),
-            "surplus": ((-self.A, self.q - 1.0), (-discount * self.e * self.A, self.q - 2.0)),
-        }
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -305,10 +297,4 @@ class NetUtilityKernel:
     def bill(self, costs: np.ndarray, weights=1.0) -> np.ndarray:
         """What one user pays, ``A * r**q``, times ``weights`` (say, the counts)."""
         return (weights * self.A * costs.T**self.q).T
-
-    def derivatives(self, law: str, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second r-derivatives of ``"demand"``, ``"bill"`` or
-        ``"surplus"`` (net utility) at costs of shape ``(n,)``."""
-        (a, p), (b, s) = self._slopes[law]
-        return a * costs**p, b * costs**s
 

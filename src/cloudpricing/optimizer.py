@@ -121,10 +121,10 @@ class SolveResult:
     ``gap`` is the barrier suboptimality estimate (constraint count over
     the barrier weight) relative to the returned objective's magnitude;
     ``converged`` implies it is at or below the requested tolerance.
-    ``iterations`` counts the damped Newton steps of every barrier ladder
-    the solve ran (stalled warm starts, alternates and the basin-escape
-    probe's ladder too), not only of the one whose point is returned.  A
-    bundled solve is closed-form: its ``iterations`` and ``gap`` are 0.
+    ``iterations`` counts the Newton steps of every barrier ladder the
+    solve ran, stalled ones and a differentiated plan's nested resource
+    solve (:func:`_start_candidates`) too.  A bundled solve is
+    closed-form: its ``iterations`` and ``gap`` are 0.
     """
 
     plan: PricingPlan
@@ -808,9 +808,11 @@ def barrier_optimize(
     Other plans start from a strictly feasible price vector found
     internally, then run the log-barrier method with damped Newton inner
     solves until the barrier gap, relative to the objective, is at most
-    ``tolerance`` (finite and positive).  Inner-solver stagnation yields a
-    non-converged result carrying diagnostics rather than an exception; an
-    empty feasible interior raises :class:`InfeasibleError`.
+    ``tolerance`` (finite and positive).  A stalled ladder is retried from
+    the next start of :func:`_start_candidates`; when every one stalls, the
+    result is the best stalled one, non-converged and carrying diagnostics
+    rather than an exception.  An empty feasible interior raises
+    :class:`InfeasibleError`.
 
     ``start`` (positive prices of this plan, such as a neighbouring
     market's optimum) is tried first, scaled to 99% of the binding
@@ -832,34 +834,27 @@ def barrier_optimize(
             raise _no_finite_objective(spec)
         best = _LadderResult(prices, 0, value, 0.0, True, "")
     else:
-        for prices in _start_candidates(problem, spec, start):
+        def lifted_costs():  # the resource optimum's per-job costs, if it has one
+            nonlocal iterations
+            try:
+                resource = barrier_optimize(instance, "resource", spec, tolerance)
+            except InfeasibleError:
+                return None
+            iterations += resource.iterations
+            return resource.outcome.per_job_costs
+
+        for prices in _start_candidates(problem, spec, start, lifted_costs):
             result = _barrier_ladder(problem, spec, tolerance, prices)
             iterations += result.iterations
             if best is None or result.beats(best):
                 best = result
-            if result.converged:  # alternates exist only to escape stalls
+            if result.converged:  # later candidates exist only to escape stalls
                 break
 
-    if not best.converged and problem.dim <= 4:
-        # basin escape for the uncertified nonconvex regime: probe a coarse
-        # grid around the stall, then polish the best cell with a fresh ladder
-        probe = _coarse_probe(problem, spec, best.prices)
-        if probe is not None:
-            result = _barrier_ladder(problem, spec, tolerance, probe)
-            iterations += result.iterations
-            if result.beats(best):
-                best = result
-
     plan = problem.make_plan(best.prices)
-    outcome = evaluate(instance, plan)
     return SolveResult(
-        plan=plan,
-        outcome=outcome,
-        objective_value=best.value,
-        iterations=iterations,
-        converged=best.converged,
-        gap=best.gap,
-        message=best.message,
+        plan=plan, outcome=evaluate(instance, plan), objective_value=best.value,
+        iterations=iterations, converged=best.converged, gap=best.gap, message=best.message,
     )
 
 
@@ -870,32 +865,35 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
     return prices if math.isfinite(value) else None
 
 
-def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm=None):
-    """The warm start, the default start, and alternates, each tried only after a stall.
+def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm, lift):
+    """Starts for the barrier ladders, each computed only once a stall reaches it.
 
-    Price optimization is certified convex only below the concavity weight
-    bound; elsewhere the barrier path can wedge into a poor stationary
-    region, and a second start usually frees it.  Candidates that land
-    outside the domain (a uniform level can overload capacity that the
-    balanced start respected, or higher prices can push F_beta out of the
-    float range) are dropped.  The default start is computed only when it
-    is needed, so a converged warm ladder skips its level searches.
+    In order: the warm start; the default start; for a differentiated plan,
+    the lifted resource optimum (the per-job costs that ``lift()`` returns,
+    or ``None``), which keeps every per-job cost and so the resource plan's
+    objective; 3 × the default start; and, for at most four prices, the
+    best cell of a coarse grid around the default start.  Warm and lifted
+    starts are scaled to 99% of the binding capacity.  A start outside the
+    barrier's domain is dropped.
     """
 
-    def usable(prices: np.ndarray) -> bool:
-        return _barrier_value(problem, spec, 0.0, problem.point(prices), math.inf) < math.inf
+    def scaled(prices):  # to 99% of the binding capacity
+        return None if prices is None else problem.level_for_load(0.99, prices) * prices
 
-    if warm is not None:
-        warm = problem.level_for_load(0.99, warm) * warm
-        if usable(warm):
-            yield warm
-    start = _feasible_start(problem, spec)
-    yield start
-    uniform = np.full(problem.dim, float(np.exp(np.mean(np.log(start)))))
-    if not np.allclose(uniform, start) and usable(uniform):
-        yield uniform
-    if usable(start * 3.0):
+    def candidates():
+        yield scaled(warm)
+        start = _feasible_start(problem, spec)
+        yield start
+        if problem.kind == "differentiated":
+            yield scaled(lift())
         yield start * 3.0
+        if problem.dim <= 4:
+            yield _coarse_probe(problem, spec, start)
+
+    for prices in candidates():
+        point = None if prices is None else problem.point(prices)
+        if point is not None and _barrier_value(problem, spec, 0.0, point, math.inf) < math.inf:
+            yield prices
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,6 +42,7 @@ from cloudpricing.optimizer import (
 )
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
 from cloudpricing.verify import _shared_dominant_instance, central_difference_hessian
+from kernel_laws import law_derivatives
 
 TIGHT = 1e-9
 
@@ -481,6 +482,67 @@ class TestWarmStart:
         assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
 
 
+class TestLiftedStart:
+    """A stalled differentiated ladder restarts from the lifted resource optimum."""
+
+    @staticmethod
+    def stall_first_ladder(monkeypatch):
+        """Report the first ladder run stalled; return every ladder's start."""
+        ladder, starts = optimizer._barrier_ladder, []
+
+        def stall_first(problem, spec, tolerance, prices):
+            starts.append(prices)
+            if len(starts) == 1:
+                return optimizer._LadderResult(prices, 80, -np.inf, np.inf, False, "stalled")
+            return ladder(problem, spec, tolerance, prices)
+
+        monkeypatch.setattr(optimizer, "_barrier_ladder", stall_first)
+        return starts
+
+    def test_converges_at_or_above_resource(self):
+        # the ladder from the default start stalls at 85.544 (resource:
+        # 84.767); the lifted start's ladder converges near 90.32
+        instance = random_instance(np.random.default_rng(2), m=3, n=20)
+        spec = ObjectiveSpec(1.0, 0.5)
+        resource = barrier_optimize(instance, "resource", spec)
+        differentiated = barrier_optimize(instance, "differentiated", spec)
+        assert differentiated.converged, differentiated.message
+        scale = max(1.0, abs(resource.objective_value))
+        assert differentiated.objective_value >= resource.objective_value - 1e-6 * scale
+
+    def test_third_ladder_starts_at_the_lift(self, reference_instance, monkeypatch):
+        # ladders in order: the default start (stalled here), the nested
+        # resource solve's, then the lift of its optimum
+        spec = ObjectiveSpec(1.0, 20.0)
+        resource = barrier_optimize(reference_instance, "resource", spec)
+        costs = resource.outcome.per_job_costs
+        problem = _PriceProblem(reference_instance, "differentiated")
+        lifted = problem.level_for_load(0.99, costs) * costs
+        lifted_ladder = optimizer._barrier_ladder(problem, spec, 1e-6, lifted)
+        starts = self.stall_first_ladder(monkeypatch)
+        result = barrier_optimize(reference_instance, "differentiated", spec)
+        assert len(starts) == 3
+        assert np.array_equal(starts[2], lifted)
+        assert result.converged and result.objective_value == lifted_ladder.value
+        # the stalled ladder's steps and the nested solve's are counted too
+        assert result.iterations == 80 + resource.iterations + lifted_ladder.iterations
+
+    def test_infeasible_resource_solve_drops_the_lift(self, reference_instance, monkeypatch):
+        solve, nested = optimizer.barrier_optimize, []
+
+        def no_resource_optimum(instance, plan_kind, *args, **kwargs):
+            nested.append(plan_kind)
+            raise InfeasibleError("no strictly feasible price vector")
+
+        monkeypatch.setattr(optimizer, "barrier_optimize", no_resource_optimum)
+        starts = self.stall_first_ladder(monkeypatch)
+        result = solve(reference_instance, "differentiated", ObjectiveSpec(1.0, 20.0))
+        # the lift was sought, and the next start after the default one is 3 × it
+        assert nested == ["resource"]
+        assert len(starts) == 2 and np.array_equal(starts[1], 3.0 * starts[0])
+        assert result.converged
+
+
 # The price oracle as first written, through the kernel's public laws and
 # beta_fairness.  The solver's leaner oracle must return the same floats.
 
@@ -496,8 +558,8 @@ def reference_objective_value(problem, spec, costs):
 def reference_cost_derivatives(problem, spec, costs):
     beta, nu = spec.beta, spec.nu
     utils = problem.kernel(costs)
-    rev1, rev2 = problem.kernel.derivatives("bill", costs)
-    u1, u2 = problem.kernel.derivatives("surplus", costs)
+    rev1, rev2 = law_derivatives(problem.kernel, "bill", costs)
+    u1, u2 = law_derivatives(problem.kernel, "surplus", costs)
     um_b = utils**-beta
     fair1 = um_b * u1
     fair2 = -beta * utils ** (-beta - 1.0) * u1**2 + um_b * u2
@@ -532,7 +594,7 @@ def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
 def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
     D, G = reference_cost_map(problem), problem.G
     costs = D @ prices
-    x1, x2 = problem.kernel.derivatives("demand", costs)
+    x1, x2 = law_derivatives(problem.kernel, "demand", costs)
     slack = problem.limits - G @ problem.kernel.demand(costs)
     obj1, obj2 = reference_cost_derivatives(problem, spec, costs)
     jac = (G * x1[None, :]) @ D
@@ -558,11 +620,11 @@ def reference_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling):
     costs = D @ prices
     chain = prices if problem.log_prices else np.ones_like(prices)  # d price / d coordinate
     K = np.abs(D) * chain  # d cost / d coordinate
-    x1, x2 = problem.kernel.derivatives("demand", costs)
+    x1, x2 = law_derivatives(problem.kernel, "demand", costs)
     slack = problem.limits - G @ problem.kernel.demand(costs)
     utils = problem.kernel(costs)
-    rev1, rev2 = problem.kernel.derivatives("bill", costs)
-    u1, u2 = problem.kernel.derivatives("surplus", costs)
+    rev1, rev2 = law_derivatives(problem.kernel, "bill", costs)
+    u1, u2 = law_derivatives(problem.kernel, "surplus", costs)
     t = abs(t_scaled)
     objective = spec.nu * problem.kernel.bill(costs, w).sum()
     objective += abs(beta_fairness(utils, beta, weights=w))
@@ -1155,11 +1217,11 @@ class TestBundledClosedForm:
         differentiated = barrier_optimize(instance, "differentiated", spec)
         assert differentiated.objective_value >= resource.objective_value - 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="known defect: any converged ladder beats a stalled one")
     def test_start_selection_keeps_the_better_ladder(self):
         # the ladder from the default start stalls near 47.2, below the
-        # resource plan's 48.4; a later candidate's ladder converges at 11.8,
-        # and the solve returns it because it converged
+        # resource plan's 48.4; a later start's ladder once converged at
+        # 11.8 and won because it converged, where the lifted resource
+        # optimum's ladder now converges above the stall
         instance = random_instance(np.random.default_rng(0), m=2, n=3)
         spec = ObjectiveSpec(10.0, 0.5)
         problem = _PriceProblem(instance, "differentiated")
