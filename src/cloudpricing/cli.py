@@ -353,7 +353,13 @@ def _cmd_schedule(args) -> int:
     print(f"total fairness: {result.total_fairness:.6g}")
     print(f"deferred mass: {sum(deferred.values()):.6g} across {len(deferred)} cohorts")
     if not result.converged:
-        print("note: a stage-one price solve or the schedule repair did not close its gap")
+        stalled = [s for s, r in enumerate(result.interval_results, start=1) if not r.converged]
+        if stalled:
+            plural = "s" if len(stalled) > 1 else ""
+            where = ", ".join(map(str, stalled))
+            print(f"note: stage one did not close its gap in interval{plural} {where}")
+        else:
+            print("note: the schedule repair did not close its gap")
     if args.out:
         payload = {
             "horizon": spec.horizon,

@@ -11,15 +11,13 @@ fills the bundles for every weight (:func:`bundled_price_bisection`), so it
 is solved in closed form.  The other plans use a log-barrier interior-point
 method: minimize
 
-    f_t(p) = -t * objective(p) - sum_i log(slack_i(p)) - sum_k log(p_k)
-             - sum_k log(cap_k - p_k)
+    f_t(p) = -t * objective(p) - sum_i log(slack_i(p))
 
-by damped Newton (the price box keeps every centering problem bounded and
-never binds at an optimum), then increase ``t`` by ``BARRIER_GROWTH`` per
-round until the barrier gap falls below ``tolerance`` relative to the
-objective's magnitude at the current iterate.  Only the last round's
-centre is returned, so the rounds before it are centred only to Newton's
-quadratic region (``CENTERING_DECREMENT``).  Fairness exponents make
+by damped Newton, then increase ``t`` by ``BARRIER_GROWTH`` per round until
+the barrier gap falls below ``tolerance`` relative to the objective's
+magnitude at the current iterate.  Only the last round's centre is
+returned, so the rounds before it are centred only to Newton's quadratic
+region (``CENTERING_DECREMENT``).  Fairness exponents make
 objective values span many orders of magnitude along the path, so both the
 initial weight and the stopping test adapt to the local scale.  Each plan
 kind takes its Newton steps in its own coordinates and solves each Newton
@@ -27,10 +25,17 @@ system in its own structure: resource plans have a few prices and a dense
 system in price space, while a differentiated plan, whose prices are its
 per-type costs, steps in ``u = log p`` (prices move by factors) on a
 system that is a diagonal plus one low-rank term per capacity row, solved
-in ``O(n m²)`` without forming an ``n × n`` matrix.  Every constraint of
-the barrier is concave along any ray, so each Newton system also carries
-its direction's tangent step bound, and the line search refuses, without
-evaluating them, the trial steps beyond it, which lie outside the domain.
+in ``O(n m²)`` without forming an ``n × n`` matrix.  A resource plan's
+barrier adds a price box, ``-sum_k log(p_k) - sum_k log(cap_k - p_k)``:
+positivity is a real constraint of its prices, and the ceiling keeps its
+centering bounded where the objective vanishes at high prices (``beta <
+1``); it never binds at an optimum.  ``p = e**u`` needs no positivity
+term, and a differentiated centering stays bounded without a ceiling:
+every objective term falls in every price, and each ``-log slack_i`` is
+bounded below by ``-log limit_i``.  Every constraint of the barrier is
+concave along any ray, so each Newton system also carries its direction's
+tangent step bound, and the line search refuses, without evaluating them,
+the trial steps beyond it, which lie outside the domain.
 The same central-path loop, with the same damped Newton, solves the
 deadline module's schedule repair.
 
@@ -122,9 +127,8 @@ class SolveResult:
     the barrier weight) relative to the returned objective's magnitude;
     ``converged`` implies it is at or below the requested tolerance.
     ``iterations`` counts the Newton steps of every barrier ladder the
-    solve ran, stalled ones and a differentiated plan's nested resource
-    solve (:func:`_start_candidates`) too.  A bundled solve is
-    closed-form: its ``iterations`` and ``gap`` are 0.
+    solve ran, stalled ones (:func:`_start_candidates`) too.  A bundled
+    solve is closed-form: its ``iterations`` and ``gap`` are 0.
     """
 
     plan: PricingPlan
@@ -471,10 +475,11 @@ def _no_finite_objective(spec: ObjectiveSpec) -> InfeasibleError:
 
 def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
     """The barrier function at a point of the problem's Newton coordinates
-    (:meth:`_PriceProblem.point`), ``inf`` outside its domain."""
+    (:meth:`_PriceProblem.point`), ``inf`` outside its domain.  ``ceiling``
+    tops a price-coordinate plan's box; a differentiated plan has no box."""
     with np.errstate(over="ignore"):
         prices = problem.prices(point)
-    if (prices <= 0.0).any() or (prices >= ceiling).any():
+    if (prices <= 0.0).any() or (not problem.log_prices and (prices >= ceiling).any()):
         return math.inf
     costs = problem.costs(prices)
     if (costs <= 0.0).any():
@@ -487,13 +492,10 @@ def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
         value = problem._objective(spec, costs)
     if not math.isfinite(value):
         return math.inf
-    logs = point if problem.log_prices else np.log(prices)
-    return (
-        -t_scaled * value
-        - float(np.log(slack).sum())
-        - float(logs.sum())
-        - float(np.log(ceiling - prices).sum())
-    )
+    value = -t_scaled * value - float(np.log(slack).sum())
+    if problem.log_prices:
+        return value
+    return value - float(np.log(prices).sum()) - float(np.log(ceiling - prices).sum())
 
 
 def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
@@ -509,11 +511,11 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
     s_i``, only the map to the Newton coordinates differs by plan:
 
     - a differentiated plan's prices are its costs, and it steps in ``u =
-      log p``: ``J = G diag(e x)``, and the system is ``diag(h) + Jᵀ S⁻² J``
-      plus the box, ``P H P`` for the price-space Hessian ``H`` (``P =
-      diag(p)``) without the first-order term ``diag(P g)``, which vanishes
-      at each centre, so the Newton decrement is the one in price space.
-      It is held as a :class:`_DiagonalLowRankSystem`;
+      log p`` with no price box: ``J = G diag(e x)``, and the system is
+      ``diag(h) + Jᵀ S⁻² J``, ``P H P`` for the price-space Hessian ``H``
+      (``P = diag(p)``) without the first-order term ``diag(P g)``, which
+      vanishes at each centre, so the Newton decrement is the one in price
+      space.  It is held as a :class:`_DiagonalLowRankSystem`;
     - resource and bundled plans step in price space, through ``M = D /
       r`` (``d log r / dp``, whose entries are at most ``1 / p``): ``J = G
       diag(e x) M``, and the Hessian ``Mᵀ diag(h) M + Jᵀ S⁻² J`` plus the
@@ -521,10 +523,8 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
     """
     e = problem.kernel.e
 
-    def log_reach(direction):  # capacity rows and the ceiling; exp(u) is never negative
-        slacks = np.concatenate((slack, ceiling - prices))
-        rates = np.concatenate((jac @ direction, prices * direction))
-        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, ceiling)))
+    def log_reach(direction):  # capacity rows alone; exp(u) is never negative
+        return _tangent_reach(slack, jac @ direction, problem.limits)
 
     def price_reach(direction):  # capacity rows, positivity and the ceiling
         slacks = np.concatenate((slack, prices, ceiling - prices))
@@ -541,9 +541,8 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
         curvature = (problem.G * (e * (e - 1.0) * demand)) / slack[:, None]
         h = -t_scaled * obj2 + curvature.sum(axis=0)
         if problem.log_prices:
-            ratio = prices / (ceiling - prices)
-            grad = -t_scaled * obj1 + jac.T @ (1.0 / slack) - 1.0 + ratio
-            return grad, _DiagonalLowRankSystem(h + (1.0 + ratio**2), jac, slack, log_reach)
+            grad = -t_scaled * obj1 + jac.T @ (1.0 / slack)
+            return grad, _DiagonalLowRankSystem(h, jac, slack, log_reach)
         M = problem.D / costs[:, None]  # d log r / dp
         jac = jac @ M
         grad = -t_scaled * (M.T @ obj1)
@@ -834,16 +833,7 @@ def barrier_optimize(
             raise _no_finite_objective(spec)
         best = _LadderResult(prices, 0, value, 0.0, True, "")
     else:
-        def lifted_costs():  # the resource optimum's per-job costs, if it has one
-            nonlocal iterations
-            try:
-                resource = barrier_optimize(instance, "resource", spec, tolerance)
-            except InfeasibleError:
-                return None
-            iterations += resource.iterations
-            return resource.outcome.per_job_costs
-
-        for prices in _start_candidates(problem, spec, start, lifted_costs):
+        for prices in _start_candidates(problem, spec, start):
             result = _barrier_ladder(problem, spec, tolerance, prices)
             iterations += result.iterations
             if best is None or result.beats(best):
@@ -865,28 +855,20 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
     return prices if math.isfinite(value) else None
 
 
-def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm, lift):
+def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm):
     """Starts for the barrier ladders, each computed only once a stall reaches it.
 
-    In order: the warm start; the default start; for a differentiated plan,
-    the lifted resource optimum (the per-job costs that ``lift()`` returns,
-    or ``None``), which keeps every per-job cost and so the resource plan's
-    objective; 3 × the default start; and, for at most four prices, the
-    best cell of a coarse grid around the default start.  Warm and lifted
-    starts are scaled to 99% of the binding capacity.  A start outside the
-    barrier's domain is dropped.
+    In order: the warm start, scaled to 99% of the binding capacity; the
+    default start (:func:`_feasible_start`); and, for at most four prices,
+    the best cell of a coarse grid around the default start.  A start
+    outside the barrier's domain is dropped.
     """
 
-    def scaled(prices):  # to 99% of the binding capacity
-        return None if prices is None else problem.level_for_load(0.99, prices) * prices
-
     def candidates():
-        yield scaled(warm)
+        if warm is not None:
+            yield problem.level_for_load(0.99, warm) * warm
         start = _feasible_start(problem, spec)
         yield start
-        if problem.kind == "differentiated":
-            yield scaled(lift())
-        yield start * 3.0
         if problem.dim <= 4:
             yield _coarse_probe(problem, spec, start)
 
@@ -953,12 +935,19 @@ def _barrier_path(value_of, derivatives_of, point, t, gap_of, tolerance, rounds)
 
 def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     """Run the t-ladder from one starting point."""
-    # A price box makes every centering problem bounded: without the ceiling,
-    # objectives that vanish at high prices (beta < 1) lose to the positivity
-    # barrier's log reward and the iterates run away.  The box never binds at
-    # an optimum, which always sits on the capacity wall far below it.
-    ceiling = np.full(problem.dim, 1e4 * float(np.max(prices)))
-    n_constraints = problem.limits.size + 2 * problem.dim
+    # A resource plan's price box makes its centering problems bounded:
+    # without the ceiling, objectives that vanish at high prices (beta < 1)
+    # lose to the positivity barrier's log reward and the iterates run away.
+    # The box never binds at an optimum, which sits on the capacity wall far
+    # below it.  A differentiated plan's barrier in u = log p has neither
+    # term: exp(u) is positive, and with every objective term falling in
+    # every price and each -log slack_i at least -log limit_i, nothing
+    # rewards a price for rising without bound.
+    if problem.log_prices:
+        ceiling, n_constraints = None, problem.limits.size
+    else:
+        ceiling = np.full(problem.dim, 1e4 * float(np.max(prices)))
+        n_constraints = problem.limits.size + 2 * problem.dim
     point = problem.point(prices)
 
     if not math.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling)):

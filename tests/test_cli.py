@@ -1,5 +1,6 @@
 import json
 import xml.dom.minidom
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -782,10 +783,32 @@ class TestSchedule:
         code = main(["schedule", "--spec", str(spec_path), "--beta", "2", "--out", str(out)])
         assert code == 2
         captured = capsys.readouterr()
-        assert "did not close its gap" in captured.out
+        assert "note: the schedule repair did not close its gap" in captured.out
+        assert "stage one" not in captured.out
         assert "Traceback" not in captured.err
         # the unconverged repair still posts a schedulable, if higher, price scale
         assert json.loads(out.read_text())["price_scale"] > 1.0
+
+    def test_stalled_stage_one_solve_names_its_interval(
+        self, tmp_path, spec_path, capsys, monkeypatch
+    ):
+        import cloudpricing.deadline
+
+        solve, calls = cloudpricing.deadline.barrier_optimize, []
+
+        def stall_second(*args, **kwargs):  # the second interval's stage-one solve
+            calls.append(solve(*args, **kwargs))
+            if len(calls) == 2:
+                return replace(calls[-1], converged=False, message="stalled")
+            return calls[-1]
+
+        monkeypatch.setattr(cloudpricing.deadline, "barrier_optimize", stall_second)
+        code = main(["schedule", "--spec", str(spec_path), "--beta", "2"])
+        assert len(calls) == 2
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "note: stage one did not close its gap in interval 2\n" in out
+        assert "repair" not in out
 
     @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_bad_tolerance_exit_one(self, tmp_path, spec_path, capsys, tol):

@@ -482,67 +482,6 @@ class TestWarmStart:
         assert warm.objective_value >= cold.objective_value - 1e-6 * abs(cold.objective_value)
 
 
-class TestLiftedStart:
-    """A stalled differentiated ladder restarts from the lifted resource optimum."""
-
-    @staticmethod
-    def stall_first_ladder(monkeypatch):
-        """Report the first ladder run stalled; return every ladder's start."""
-        ladder, starts = optimizer._barrier_ladder, []
-
-        def stall_first(problem, spec, tolerance, prices):
-            starts.append(prices)
-            if len(starts) == 1:
-                return optimizer._LadderResult(prices, 80, -np.inf, np.inf, False, "stalled")
-            return ladder(problem, spec, tolerance, prices)
-
-        monkeypatch.setattr(optimizer, "_barrier_ladder", stall_first)
-        return starts
-
-    def test_converges_at_or_above_resource(self):
-        # the ladder from the default start stalls at 85.544 (resource:
-        # 84.767); the lifted start's ladder converges near 90.32
-        instance = random_instance(np.random.default_rng(2), m=3, n=20)
-        spec = ObjectiveSpec(1.0, 0.5)
-        resource = barrier_optimize(instance, "resource", spec)
-        differentiated = barrier_optimize(instance, "differentiated", spec)
-        assert differentiated.converged, differentiated.message
-        scale = max(1.0, abs(resource.objective_value))
-        assert differentiated.objective_value >= resource.objective_value - 1e-6 * scale
-
-    def test_third_ladder_starts_at_the_lift(self, reference_instance, monkeypatch):
-        # ladders in order: the default start (stalled here), the nested
-        # resource solve's, then the lift of its optimum
-        spec = ObjectiveSpec(1.0, 20.0)
-        resource = barrier_optimize(reference_instance, "resource", spec)
-        costs = resource.outcome.per_job_costs
-        problem = _PriceProblem(reference_instance, "differentiated")
-        lifted = problem.level_for_load(0.99, costs) * costs
-        lifted_ladder = optimizer._barrier_ladder(problem, spec, 1e-6, lifted)
-        starts = self.stall_first_ladder(monkeypatch)
-        result = barrier_optimize(reference_instance, "differentiated", spec)
-        assert len(starts) == 3
-        assert np.array_equal(starts[2], lifted)
-        assert result.converged and result.objective_value == lifted_ladder.value
-        # the stalled ladder's steps and the nested solve's are counted too
-        assert result.iterations == 80 + resource.iterations + lifted_ladder.iterations
-
-    def test_infeasible_resource_solve_drops_the_lift(self, reference_instance, monkeypatch):
-        solve, nested = optimizer.barrier_optimize, []
-
-        def no_resource_optimum(instance, plan_kind, *args, **kwargs):
-            nested.append(plan_kind)
-            raise InfeasibleError("no strictly feasible price vector")
-
-        monkeypatch.setattr(optimizer, "barrier_optimize", no_resource_optimum)
-        starts = self.stall_first_ladder(monkeypatch)
-        result = solve(reference_instance, "differentiated", ObjectiveSpec(1.0, 20.0))
-        # the lift was sought, and the next start after the default one is 3 × it
-        assert nested == ["resource"]
-        assert len(starts) == 2 and np.array_equal(starts[1], 3.0 * starts[0])
-        assert result.converged
-
-
 # The price oracle as first written, through the kernel's public laws and
 # beta_fairness.  The solver's leaner oracle must return the same floats.
 
@@ -572,7 +511,9 @@ def reference_cost_map(problem):
 
 
 def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
-    if np.any(prices <= 0.0) or np.any(prices >= ceiling):
+    """The barrier's value; only a plan in price coordinates has the price box."""
+    box = not problem.log_prices
+    if np.any(prices <= 0.0) or (box and np.any(prices >= ceiling)):
         return np.inf
     costs = reference_cost_map(problem) @ prices
     if np.any(costs <= 0.0):
@@ -583,12 +524,11 @@ def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
     value = reference_objective_value(problem, spec, costs)
     if not np.isfinite(value):
         return np.inf
-    return (
-        -t_scaled * value
-        - float(np.sum(np.log(slack)))
-        - float(np.sum(np.log(prices)))
-        - float(np.sum(np.log(ceiling - prices)))
-    )
+    value = -t_scaled * value - float(np.sum(np.log(slack)))
+    if box:
+        value -= float(np.sum(np.log(prices)))
+        value -= float(np.sum(np.log(ceiling - prices)))
+    return value
 
 
 def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
@@ -600,13 +540,13 @@ def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
     jac = (G * x1[None, :]) @ D
     grad = -t_scaled * (D.T @ obj1)
     grad += jac.T @ (1.0 / slack)
-    grad -= 1.0 / prices
-    grad += 1.0 / (ceiling - prices)
     hess = -t_scaled * (D.T * obj2) @ D
     hess += (jac.T / slack**2) @ jac
     curvature = (G * x2[None, :]) / slack[:, None]
     hess += (D.T * curvature.sum(axis=0)) @ D
-    hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+    if not problem.log_prices:  # the price box
+        grad += 1.0 / (ceiling - prices) - 1.0 / prices
+        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
     return grad, hess
 
 
@@ -628,16 +568,18 @@ def reference_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling):
     t = abs(t_scaled)
     objective = spec.nu * problem.kernel.bill(costs, w).sum()
     objective += abs(beta_fairness(utils, beta, weights=w))
-    value = t * objective + np.abs(np.log(slack)).sum() + np.abs(np.log(prices)).sum()
-    value += np.abs(np.log(ceiling - prices)).sum()
+    value = t * objective + np.abs(np.log(slack)).sum()
     um_b = utils**-beta
     obj1 = w * (spec.nu * np.abs(rev1) + um_b * np.abs(u1))
     obj2 = w * (spec.nu * np.abs(rev2) + beta * utils ** (-beta - 1.0) * u1**2 + um_b * np.abs(u2))
     jac = np.abs(G * x1) @ K
-    grad = t * (K.T @ obj1) + jac.T @ (1.0 / slack) + chain / prices + chain / (ceiling - prices)
+    grad = t * (K.T @ obj1) + jac.T @ (1.0 / slack)
     curvature = ((G * np.abs(x2)) / slack[:, None]).sum(axis=0)
-    box = (chain / prices) ** 2 + (chain / (ceiling - prices)) ** 2
-    hess = (K.T * (t * obj2 + curvature)) @ K + (jac.T / slack**2) @ jac + np.diag(box)
+    hess = (K.T * (t * obj2 + curvature)) @ K + (jac.T / slack**2) @ jac
+    if not problem.log_prices:  # the price box
+        value += np.abs(np.log(prices)).sum() + np.abs(np.log(ceiling - prices)).sum()
+        grad += 1.0 / prices + 1.0 / (ceiling - prices)
+        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
     return value, grad, hess
 
 
@@ -801,6 +743,8 @@ class TestOracleMatchesReference:
             prices = np.exp(point)
         if where == "price above ceiling":
             ceiling = np.full(problem.dim, float(np.median(prices)))
+            if problem.log_prices:  # no price box: the barrier reads no ceiling
+                where = "inside"
 
         with np.errstate(all="ignore"):  # the reference's own warnings are not under test
             expected = reference_barrier_value(problem, spec, t_scaled, prices, ceiling)
@@ -1192,9 +1136,9 @@ class TestBundledClosedForm:
 
         bundled, resource, differentiated = map(value, ("bundled", "resource", "differentiated"))
         scale = max(1.0, abs(resource)) if np.isfinite(resource) else 1.0
-        if beta > 1.0:  # see the two known defects below
+        assert differentiated >= resource - 1e-6 * scale
+        if beta > 1.0:  # see the known defect below
             assert resource >= bundled - 1e-6 * scale
-            assert differentiated >= resource - 1e-6 * scale
 
     @pytest.mark.xfail(strict=True, reason="known defect: the ladders settle on an inner peak")
     def test_resource_settles_below_bundled(self):
@@ -1207,10 +1151,10 @@ class TestBundledClosedForm:
         resource = barrier_optimize(instance, "resource", spec)
         assert resource.objective_value >= bundled.objective_value - 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the ladder converges at the box ceiling")
-    def test_differentiated_runs_to_the_price_ceiling(self):
-        # at beta < 1 every objective term vanishes at high prices, and this
-        # differentiated ladder reports convergence there, far below resource
+    def test_differentiated_reaches_resource_where_high_prices_vanish(self):
+        # at beta < 1 every objective term vanishes at high prices; with a
+        # price box, this differentiated ladder once converged at its
+        # ceiling, with an objective of 6.1e-14 against resource's 639.7
         instance = _shared_dominant_instance(np.random.default_rng(2313555400))
         spec = ObjectiveSpec(96.28645784432278, 0.5)
         resource = barrier_optimize(instance, "resource", spec)
@@ -1218,10 +1162,10 @@ class TestBundledClosedForm:
         assert differentiated.objective_value >= resource.objective_value - 1e-6
 
     def test_start_selection_keeps_the_better_ladder(self):
-        # the ladder from the default start stalls near 47.2, below the
-        # resource plan's 48.4; a later start's ladder once converged at
-        # 11.8 and won because it converged, where the lifted resource
-        # optimum's ladder now converges above the stall
+        # with a price box, the ladder from the default start stalled near
+        # 47.2, below the resource plan's 48.4, and a later start's ladder
+        # converged at 11.8 and won because it converged; without the box
+        # the default start's ladder converges at 48.695
         instance = random_instance(np.random.default_rng(0), m=2, n=3)
         spec = ObjectiveSpec(10.0, 0.5)
         problem = _PriceProblem(instance, "differentiated")
@@ -1323,6 +1267,17 @@ class TestPlanDominance:
             scale = max(1.0, abs(res.objective_value))
             assert diff.objective_value >= res.objective_value - 1e-6 * scale
 
+    def test_converges_at_or_above_resource(self):
+        # with a price box, the ladder from the default start stalled at
+        # 85.544 (resource: 84.767); without it, it converges near 90.425
+        instance = random_instance(np.random.default_rng(2), m=3, n=20)
+        spec = ObjectiveSpec(1.0, 0.5)
+        resource = barrier_optimize(instance, "resource", spec)
+        differentiated = barrier_optimize(instance, "differentiated", spec)
+        assert differentiated.converged, differentiated.message
+        scale = max(1.0, abs(resource.objective_value))
+        assert differentiated.objective_value >= resource.objective_value - 1e-6 * scale
+
     def test_rank_n_equality_single_type(self, rng):
         spec = ObjectiveSpec(1.0, 2.0)
         for _ in range(3):
@@ -1361,18 +1316,19 @@ class TestPlanDominance:
             slack = 1e-2 * abs(resource.objective_value)  # grid resolution
             assert bundled.objective_value <= resource.objective_value + slack
 
-    @pytest.mark.parametrize("n", [20, 50, 100])
+    @pytest.mark.parametrize("n", [20, 50, 100, 300, 1000])
     def test_differentiated_converges_at_scale(self, n):
-        # prices that move by factors (Newton steps in log prices) keep the
-        # barrier from stalling on wide markets
-        spec = ObjectiveSpec(1.0, 2.0)
-        for seed in range(5):
+        # prices that move by factors (Newton steps in log prices) and a
+        # barrier with no price box keep wide markets from stalling; with
+        # the box, every ladder at n >= 200 ran its prices toward the ceiling
+        for seed, beta in itertools.product(range(5), (2.0, 0.5)):
             instance = random_instance(np.random.default_rng(seed), m=3, n=n)
+            spec = ObjectiveSpec(1.0, beta)
             res = barrier_optimize(instance, "resource", spec)
             diff = barrier_optimize(instance, "differentiated", spec)
-            assert diff.converged, (seed, diff.message)
+            assert diff.converged, (seed, beta, diff.message)
             scale = max(1.0, abs(res.objective_value))
-            assert diff.objective_value >= res.objective_value - 1e-6 * scale, seed
+            assert diff.objective_value >= res.objective_value - 1e-6 * scale, (seed, beta)
 
 
 def scaled_units(instance, k):
