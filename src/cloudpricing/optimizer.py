@@ -26,16 +26,17 @@ system in price space, while a differentiated plan, whose prices are its
 per-type costs, steps in ``u = log p`` (prices move by factors) on a
 system that is a diagonal plus one low-rank term per capacity row, solved
 in ``O(n m²)`` without forming an ``n × n`` matrix.  A resource plan's
-barrier adds a price box, ``-sum_k log(p_k) - sum_k log(cap_k - p_k)``:
-positivity is a real constraint of its prices, and the ceiling keeps its
-centering bounded where the objective vanishes at high prices (``beta <
-1``); it never binds at an optimum.  ``p = e**u`` needs no positivity
-term, and a differentiated centering stays bounded without a ceiling:
-every objective term falls in every price, and each ``-log slack_i`` is
-bounded below by ``-log limit_i``.  Every constraint of the barrier is
-concave along any ray, so each Newton system also carries its direction's
-tangent step bound, and the line search refuses, without evaluating them,
-the trial steps beyond it, which lie outside the domain.
+barrier adds the log barrier of its price shares, ``-sum_k log(p_k /
+sum_j p_j)`` (Karmarkar's potential function): positivity is a real
+constraint of its prices, and the term is infinite where any price
+reaches zero yet constant along every ray, so raising every price
+together earns nothing.  ``p = e**u`` needs no positivity term.  Neither
+plan's centering needs an upper price bound: every objective term falls
+in every price, and each ``-log slack_i`` is bounded below by ``-log
+limit_i``.  Every constraint of the barrier is concave along any ray, so
+each Newton system also carries its direction's tangent step bound, and
+the line search refuses, without evaluating them, the trial steps beyond
+it, which lie outside the domain.
 The same central-path loop, with the same damped Newton, solves the
 deadline module's schedule repair.
 
@@ -473,13 +474,13 @@ def _no_finite_objective(spec: ObjectiveSpec) -> InfeasibleError:
     )
 
 
-def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
+def _barrier_value(problem, spec, t_scaled, point) -> float:
     """The barrier function at a point of the problem's Newton coordinates
-    (:meth:`_PriceProblem.point`), ``inf`` outside its domain.  ``ceiling``
-    tops a price-coordinate plan's box; a differentiated plan has no box."""
+    (:meth:`_PriceProblem.point`), ``inf`` outside its domain.  A
+    price-coordinate plan adds the log barrier of its price shares."""
     with np.errstate(over="ignore"):
         prices = problem.prices(point)
-    if (prices <= 0.0).any() or (not problem.log_prices and (prices >= ceiling).any()):
+    if (prices <= 0.0).any():
         return math.inf
     costs = problem.costs(prices)
     if (costs <= 0.0).any():
@@ -495,10 +496,11 @@ def _barrier_value(problem, spec, t_scaled, point, ceiling) -> float:
     value = -t_scaled * value - float(np.log(slack).sum())
     if problem.log_prices:
         return value
-    return value - float(np.log(prices).sum()) - float(np.log(ceiling - prices).sum())
+    value -= float(np.log(prices).sum())
+    return value + problem.dim * math.log(float(prices.sum()))
 
 
-def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
+def _barrier_derivatives(problem, spec, t_scaled, point):
     """Gradient and Newton system of the barrier function at a point of the
     problem's Newton coordinates.
 
@@ -511,25 +513,26 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
     s_i``, only the map to the Newton coordinates differs by plan:
 
     - a differentiated plan's prices are its costs, and it steps in ``u =
-      log p`` with no price box: ``J = G diag(e x)``, and the system is
-      ``diag(h) + Jᵀ S⁻² J``, ``P H P`` for the price-space Hessian ``H``
-      (``P = diag(p)``) without the first-order term ``diag(P g)``, which
-      vanishes at each centre, so the Newton decrement is the one in price
-      space.  It is held as a :class:`_DiagonalLowRankSystem`;
+      log p`` with no positivity term: ``J = G diag(e x)``, and the system
+      is ``diag(h) + Jᵀ S⁻² J``, ``P H P`` for the price-space Hessian
+      ``H`` (``P = diag(p)``) without the first-order term ``diag(P g)``,
+      which vanishes at each centre, so the Newton decrement is the one in
+      price space.  It is held as a :class:`_DiagonalLowRankSystem`;
     - resource and bundled plans step in price space, through ``M = D /
       r`` (``d log r / dp``, whose entries are at most ``1 / p``): ``J = G
       diag(e x) M``, and the Hessian ``Mᵀ diag(h) M + Jᵀ S⁻² J`` plus the
-      box, a dense system of a few prices.
+      share term's ``diag(1 / p²) - dim / (sum p)² 11ᵀ``, a dense system
+      of a few prices.
     """
     e = problem.kernel.e
 
     def log_reach(direction):  # capacity rows alone; exp(u) is never negative
         return _tangent_reach(slack, jac @ direction, problem.limits)
 
-    def price_reach(direction):  # capacity rows, positivity and the ceiling
-        slacks = np.concatenate((slack, prices, ceiling - prices))
-        rates = np.concatenate((jac @ direction, -direction, direction))
-        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices, ceiling)))
+    def price_reach(direction):  # capacity rows and positivity
+        slacks = np.concatenate((slack, prices))
+        rates = np.concatenate((jac @ direction, -direction))
+        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         prices = problem.prices(point)
@@ -547,11 +550,12 @@ def _barrier_derivatives(problem, spec, t_scaled, point, ceiling):
         jac = jac @ M
         grad = -t_scaled * (M.T @ obj1)
         grad += jac.T @ (1.0 / slack)
-        grad -= 1.0 / prices
-        grad += 1.0 / (ceiling - prices)
+        total = float(prices.sum())
+        grad += problem.dim / total - 1.0 / prices
         hess = (M.T * h) @ M
         hess += (jac.T / slack**2) @ jac
-        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+        hess += np.diag(1.0 / prices**2)
+        hess -= problem.dim / total**2
     return grad, _DenseSystem(hess, price_reach)
 
 
@@ -874,7 +878,7 @@ def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm):
 
     for prices in candidates():
         point = None if prices is None else problem.point(prices)
-        if point is not None and _barrier_value(problem, spec, 0.0, point, math.inf) < math.inf:
+        if point is not None and _barrier_value(problem, spec, 0.0, point) < math.inf:
             yield prices
 
 
@@ -935,36 +939,26 @@ def _barrier_path(value_of, derivatives_of, point, t, gap_of, tolerance, rounds)
 
 def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     """Run the t-ladder from one starting point."""
-    # A resource plan's price box makes its centering problems bounded:
-    # without the ceiling, objectives that vanish at high prices (beta < 1)
-    # lose to the positivity barrier's log reward and the iterates run away.
-    # The box never binds at an optimum, which sits on the capacity wall far
-    # below it.  A differentiated plan's barrier in u = log p has neither
-    # term: exp(u) is positive, and with every objective term falling in
-    # every price and each -log slack_i at least -log limit_i, nothing
-    # rewards a price for rising without bound.
-    if problem.log_prices:
-        ceiling, n_constraints = None, problem.limits.size
-    else:
-        ceiling = np.full(problem.dim, 1e4 * float(np.max(prices)))
-        n_constraints = problem.limits.size + 2 * problem.dim
+    # the gap counts the capacity rows and, in price coordinates, the
+    # share term's positivity rows; no centering needs an upper price bound
+    n_constraints = problem.limits.size + (0 if problem.log_prices else problem.dim)
     point = problem.point(prices)
 
-    if not math.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling)):
+    if not math.isfinite(_barrier_value(problem, spec, 0.0, point)):
         raise InfeasibleError("barrier ladder started outside the feasible domain")
     costs = problem.costs(prices)
     start_objective = problem.objective_value(spec, costs)
     scale = max(1.0, abs(start_objective))
 
     # Balance the first barrier weight against the objective's slope so the
-    # initial centering solution stays near the start; nearly-flat objectives
-    # would otherwise let the barrier drag prices toward the box center, and
-    # the way back is thousands of damped steps.  Both slopes are taken in
-    # price space, whatever coordinates the Newton steps take.
+    # initial centering solution stays near the start: on surveys of random
+    # and shared-dominant markets, t = 1 in its place takes 3.5%-6% more
+    # Newton steps to the same results.  Both slopes are taken in price
+    # space, whatever coordinates the Newton steps take.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
         slopes = problem.objective_log_derivatives(spec, costs)[0] / costs
         obj_slope = float(np.linalg.norm(slopes if problem.D is None else problem.D.T @ slopes))
-        barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point, ceiling)
+        barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point)
         if problem.log_prices:
             barrier_grad = barrier_grad / prices
     barrier_slope = float(np.hypot.reduce(barrier_grad))  # a norm that cannot overflow
@@ -979,8 +973,8 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
         return (n_constraints / t) * scale / max(1.0, abs(value))
 
     point, iterations, gap, message = _barrier_path(
-        lambda z, t: _barrier_value(problem, spec, t / scale, z, ceiling),
-        lambda z, t: _barrier_derivatives(problem, spec, t / scale, z, ceiling),
+        lambda z, t: _barrier_value(problem, spec, t / scale, z),
+        lambda z, t: _barrier_derivatives(problem, spec, t / scale, z),
         point, t, gap_of, tolerance, 300,
     )
     prices = problem.prices(point)

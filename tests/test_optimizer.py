@@ -194,14 +194,13 @@ class TestBarrier:
             for kind in ("bundled", "resource", "differentiated"):
                 problem = _PriceProblem(instance, kind)
                 start = _feasible_start(problem, spec)
-                ceiling = np.full(problem.dim, 1e4 * float(np.max(start)))
                 for prices, t_scaled in ((start, 1.0), (1.3 * start, 40.0)):
                     point = problem.point(prices)
-                    _, system = _barrier_derivatives(problem, spec, t_scaled, point, ceiling)
+                    _, system = _barrier_derivatives(problem, spec, t_scaled, point)
                     analytic = assembled(system)
 
                     def value(p):
-                        return _barrier_value(problem, spec, t_scaled, problem.point(p), ceiling)
+                        return _barrier_value(problem, spec, t_scaled, problem.point(p))
 
                     numeric = central_difference_hessian(value, prices)
                     if problem.log_prices:
@@ -510,10 +509,10 @@ def reference_cost_map(problem):
     return np.eye(problem.dim) if problem.D is None else problem.D
 
 
-def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
-    """The barrier's value; only a plan in price coordinates has the price box."""
-    box = not problem.log_prices
-    if np.any(prices <= 0.0) or (box and np.any(prices >= ceiling)):
+def reference_barrier_value(problem, spec, t_scaled, prices):
+    """The barrier's value; only a plan in price coordinates has the log
+    barrier of its price shares, ``-sum_k log(p_k / sum_j p_j)``."""
+    if np.any(prices <= 0.0):
         return np.inf
     costs = reference_cost_map(problem) @ prices
     if np.any(costs <= 0.0):
@@ -525,13 +524,13 @@ def reference_barrier_value(problem, spec, t_scaled, prices, ceiling):
     if not np.isfinite(value):
         return np.inf
     value = -t_scaled * value - float(np.sum(np.log(slack)))
-    if box:
+    if not problem.log_prices:  # the oracle's order, for bitwise equal floats
         value -= float(np.sum(np.log(prices)))
-        value -= float(np.sum(np.log(ceiling - prices)))
+        value += problem.dim * math.log(float(np.sum(prices)))
     return value
 
 
-def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
+def reference_barrier_derivatives(problem, spec, t_scaled, prices):
     D, G = reference_cost_map(problem), problem.G
     costs = D @ prices
     x1, x2 = law_derivatives(problem.kernel, "demand", costs)
@@ -544,13 +543,14 @@ def reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling):
     hess += (jac.T / slack**2) @ jac
     curvature = (G * x2[None, :]) / slack[:, None]
     hess += (D.T * curvature.sum(axis=0)) @ D
-    if not problem.log_prices:  # the price box
-        grad += 1.0 / (ceiling - prices) - 1.0 / prices
-        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+    if not problem.log_prices:  # the price shares
+        total = np.sum(prices)
+        grad += problem.dim / total - 1.0 / prices
+        hess += np.diag(1.0 / prices**2) - problem.dim / total**2
     return grad, hess
 
 
-def reference_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling):
+def reference_barrier_magnitudes(problem, spec, t_scaled, prices):
     """Sums of the absolute terms behind a barrier's value and the entries of
     its gradient and Newton system in the oracle's coordinates (log prices
     for a differentiated plan, prices otherwise): the scale of their
@@ -576,10 +576,11 @@ def reference_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling):
     grad = t * (K.T @ obj1) + jac.T @ (1.0 / slack)
     curvature = ((G * np.abs(x2)) / slack[:, None]).sum(axis=0)
     hess = (K.T * (t * obj2 + curvature)) @ K + (jac.T / slack**2) @ jac
-    if not problem.log_prices:  # the price box
-        value += np.abs(np.log(prices)).sum() + np.abs(np.log(ceiling - prices)).sum()
-        grad += 1.0 / prices + 1.0 / (ceiling - prices)
-        hess += np.diag(1.0 / prices**2 + 1.0 / (ceiling - prices) ** 2)
+    if not problem.log_prices:  # the price shares
+        total = np.sum(prices)
+        value += np.abs(np.log(prices)).sum() + problem.dim * abs(np.log(total))
+        grad += 1.0 / prices + problem.dim / total
+        hess += np.diag(1.0 / prices**2) + problem.dim / total**2
     return value, grad, hess
 
 
@@ -710,14 +711,10 @@ class TestOracleMatchesReference:
         ),
         t_scaled=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
         spread=st.floats(0.0, 0.5),
-        box=st.booleans(),
-        where=st.sampled_from(
-            ["inside"] * 4 + ["zero price", "negative price", "price above ceiling",
-                              "over capacity"]
-        ),
+        where=st.sampled_from(["inside"] * 4 + ["zero price", "negative price", "over capacity"]),
     )
     def test_value_derivatives_objective_and_load(
-        self, seed, n, m, log_types, kind, nu, beta, t_scaled, spread, box, where
+        self, seed, n, m, log_types, kind, nu, beta, t_scaled, spread, where
     ):
         instance, rng = self.market(seed, n, m, log_types)
         spec = ObjectiveSpec(nu, beta)
@@ -729,7 +726,6 @@ class TestOracleMatchesReference:
         except InfeasibleError:
             start = np.full(problem.dim, problem.level_for_load(0.5))
         prices = start * np.exp(rng.uniform(-spread, spread, problem.dim))
-        ceiling = np.full(problem.dim, 1e4 * float(np.max(prices))) if box else np.inf
         if where == "zero price":
             prices[rng.integers(problem.dim)] = 0.0
         elif where == "negative price":
@@ -741,16 +737,12 @@ class TestOracleMatchesReference:
             with np.errstate(divide="ignore", invalid="ignore"):
                 point = np.log(prices)
             prices = np.exp(point)
-        if where == "price above ceiling":
-            ceiling = np.full(problem.dim, float(np.median(prices)))
-            if problem.log_prices:  # no price box: the barrier reads no ceiling
-                where = "inside"
 
         with np.errstate(all="ignore"):  # the reference's own warnings are not under test
-            expected = reference_barrier_value(problem, spec, t_scaled, prices, ceiling)
+            expected = reference_barrier_value(problem, spec, t_scaled, prices)
             if expected < np.inf:
-                sizes = reference_barrier_magnitudes(problem, spec, t_scaled, prices, ceiling)
-        value = _barrier_value(problem, spec, t_scaled, point, ceiling)
+                sizes = reference_barrier_magnitudes(problem, spec, t_scaled, prices)
+        value = _barrier_value(problem, spec, t_scaled, point)
         if problem.log_prices and np.isfinite(expected):
             # log p is read as u itself, so the floats differ in rounding
             assert abs(value - expected) <= 1e-12 * sizes[0]
@@ -758,10 +750,10 @@ class TestOracleMatchesReference:
             assert value == expected or (np.isnan(value) and np.isnan(expected))
         if where != "inside":
             assert value == expected == np.inf
-        if expected < np.inf:  # inside the domain; -inf without a price ceiling
+        if expected < np.inf:  # inside the domain
             with np.errstate(all="ignore"):
-                grad, hess = reference_barrier_derivatives(problem, spec, t_scaled, prices, ceiling)
-            new_grad, system = _barrier_derivatives(problem, spec, t_scaled, point, ceiling)
+                grad, hess = reference_barrier_derivatives(problem, spec, t_scaled, prices)
+            new_grad, system = _barrier_derivatives(problem, spec, t_scaled, point)
             if np.isfinite(grad).all() and np.isfinite(hess).all():
                 # the oracle forms its derivatives from elasticities, so the
                 # floats differ in rounding, and per-cost derivatives may
@@ -886,7 +878,18 @@ class TestPriceLevel:
         # 1 - (x_a + 0 * inf), a NaN, and the barrier must read it as outside
         problem = _PriceProblem(self.lopsided_market(1.0), "differentiated")
         point = problem.point(np.array([1.0, 1e-200]))
-        assert _barrier_value(problem, ObjectiveSpec(1.0, 2.0), 1.0, point, math.inf) == math.inf
+        assert _barrier_value(problem, ObjectiveSpec(1.0, 2.0), 1.0, point) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_resource_matches_differentiated_at_unit_capacities(self):
+        # each type uses a resource of its own, so the two plans coincide;
+        # with a price box, the resource ladder returned converged=True at
+        # 1.511e76 against the differentiated optimum near 1e80
+        market, spec = self.lopsided_market(1.0), ObjectiveSpec(1.0, 2.0)
+        resource = barrier_optimize(market, "resource", spec)
+        differentiated = barrier_optimize(market, "differentiated", spec)
+        assert resource.converged, resource.message
+        assert resource.objective_value == pytest.approx(differentiated.objective_value, rel=1e-6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["bundled", "resource", "differentiated"])
@@ -1151,6 +1154,31 @@ class TestBundledClosedForm:
         resource = barrier_optimize(instance, "resource", spec)
         assert resource.objective_value >= bundled.objective_value - 1e-6
 
+    @pytest.mark.parametrize("seed, nu", [(1533, 52.97252763143477), (1594, 25.629495302889037)])
+    def test_resource_reaches_bundled_at_low_beta(self, seed, nu):
+        # with a price box, the resource ladder returned converged=True at
+        # 156.110 against bundled 182.471 (seed 1533), and stalled at 265.939
+        # against 315.196 (seed 1594)
+        instance = _shared_dominant_instance(np.random.default_rng(seed))
+        spec = ObjectiveSpec(nu, 0.5)
+        bundled = barrier_optimize(instance, "bundled", spec)
+        resource = barrier_optimize(instance, "resource", spec)
+        assert resource.converged, resource.message
+        scale = max(1.0, abs(resource.objective_value))
+        assert resource.objective_value >= bundled.objective_value - 1e-6 * scale
+
+    @pytest.mark.parametrize("seed", [4, 93, 139])
+    def test_resource_ladder_from_the_default_start_converges(self, seed):
+        # with a price box, the first centering ran the prices toward the
+        # box centre and these ladders stalled on the way back; the coarse
+        # probe's ladder won after over a hundred Newton steps
+        nu = float(np.random.default_rng(10000 + seed).uniform(0.0, 100.0))
+        instance = _shared_dominant_instance(np.random.default_rng(seed))
+        spec = ObjectiveSpec(nu, 0.5)
+        problem = _PriceProblem(instance, "resource")
+        ladder = optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
+        assert ladder.converged, ladder.message
+
     def test_differentiated_reaches_resource_where_high_prices_vanish(self):
         # at beta < 1 every objective term vanishes at high prices; with a
         # price box, this differentiated ladder once converged at its
@@ -1213,8 +1241,7 @@ class TestCoarseProbe:
         monkeypatch.setattr(optimizer, "_coarse_probe", record)
         assert not barrier_optimize(instance, "resource", spec).converged
         [(problem, point)] = points
-        ceiling = np.full(problem.dim, 1e4 * float(np.max(point)))  # the ladder's box
-        assert np.isfinite(_barrier_value(problem, spec, 0.0, point, ceiling))
+        assert np.isfinite(_barrier_value(problem, spec, 0.0, point))
 
     def test_ladder_from_the_probe_point_converges(self):
         # the default start stalls, and the probe's ladder, whose smallest
@@ -1463,7 +1490,7 @@ class TestTangentStepBound:
         spec = ObjectiveSpec(1.0, 2.0)
         problem = _PriceProblem(instance, "resource")
         start = _feasible_start(problem, spec)
-        grad, system = _barrier_derivatives(problem, spec, 1.0, start, 1e4 * start)
+        grad, system = _barrier_derivatives(problem, spec, 1.0, start)
         assert np.isfinite(grad).all() and system.finite()
         assert system.reach(np.array([-1.0])) < math.inf  # lower prices fill the row
         bundled = barrier_optimize(instance, "bundled", spec).outcome.per_job_costs[0]
@@ -1489,15 +1516,13 @@ class TestTangentStepBound:
         rng = np.random.default_rng(seed)
         instance = random_instance(rng, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 9)))
         problem, spec = _PriceProblem(instance, kind), ObjectiveSpec(nu, beta)
-        # loads from half capacity to within 1e-12 of it, ceilings from just
-        # above the largest price to 1e4 times it
+        # loads from half capacity to within 1e-12 of it
         target = 1.0 - 0.5 * 10.0 ** -rng.uniform(0.0, 12.0)
         prices = sample_feasible_prices(instance, kind, rng, 1, load_target=target)[0]
-        ceiling = np.full(problem.dim, prices.max() * (1.0 + 10.0 ** rng.uniform(-8.0, 4.0)))
         point, t = problem.point(prices), 10.0 ** rng.uniform(-3.0, 6.0)
-        assume(_barrier_value(problem, spec, t, point, ceiling) < math.inf)
+        assume(_barrier_value(problem, spec, t, point) < math.inf)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grad, system = _barrier_derivatives(problem, spec, t, point, ceiling)
+            grad, system = _barrier_derivatives(problem, spec, t, point)
             if newton:
                 assume(np.isfinite(grad).all() and system.finite())
                 direction = _newton_direction(system, grad)
@@ -1505,7 +1530,7 @@ class TestTangentStepBound:
                 direction = rng.normal(size=problem.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
             reach = system.reach(direction)
         for step in refused_steps(reach):
-            value = _barrier_value(problem, spec, t, point + step * direction, ceiling)
+            value = _barrier_value(problem, spec, t, point + step * direction)
             assert value == math.inf, (step, reach)
 
     @settings(max_examples=200, deadline=None)
