@@ -30,13 +30,16 @@ barrier adds the log barrier of its price shares, ``-sum_k log(p_k /
 sum_j p_j)`` (Karmarkar's potential function): positivity is a real
 constraint of its prices, and the term is infinite where any price
 reaches zero yet constant along every ray, so raising every price
-together earns nothing.  ``p = e**u`` needs no positivity term.  Neither
-plan's centering needs an upper price bound: every objective term falls
-in every price, and each ``-log slack_i`` is bounded below by ``-log
-limit_i``.  Every constraint of the barrier is concave along any ray, so
-each Newton system also carries its direction's tangent step bound, and
-the line search refuses, without evaluating them, the trial steps beyond
-it, which lie outside the domain.
+together earns nothing; but it is not convex, so centering can be
+nonconvex below the certified revenue weight, and the gap ``(rows + dim)
+/ t`` is a stopping rule there, not a bound.  These plans step in
+per-price power-of-two units (:attr:`_PriceProblem.unit`).  ``p = e**u``
+needs no positivity term.  Neither plan's centering needs an upper price
+bound: every objective term falls in every price, and each ``-log
+slack_i`` is bounded below by ``-log limit_i``.  Every constraint of the
+barrier is concave along any ray, so each Newton system also carries its
+direction's tangent step bound, and the line search refuses, without
+evaluating them, the trial steps beyond it, which lie outside the domain.
 The same central-path loop, with the same damped Newton, solves the
 deadline module's schedule repair.
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -235,14 +239,26 @@ class _PriceProblem:
             return ResourcePlan(prices=prices)
         return DifferentiatedPlan(prices=prices)
 
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The powers of two that :meth:`point` measures prices in: one over
+        each price's largest entry of ``D``, times the level at which those
+        prices fill the binding row (as :meth:`level_for_load` finds it), so
+        that points are near one in any resource units."""
+        with np.errstate(divide="ignore"):  # a price no type pays keeps unit 1
+            unit = np.exp2(-np.round(np.nan_to_num(np.log2(self.D.max(axis=0)), neginf=0.0)))
+            log_a = self.log_shares + (self.kernel.log_k + self.kernel.e * np.log(self.costs(unit)))
+        level = _log_load_root(log_a, self.kernel.e, 1.0) / math.log(2.0)
+        return unit * 2.0 ** round(level) if math.isfinite(level) else unit
+
     def point(self, prices: np.ndarray) -> np.ndarray:
         """The barrier's Newton coordinates of the prices: their logarithms
-        for a differentiated plan, the prices themselves otherwise."""
-        return np.log(prices) if self.log_prices else prices
+        for a differentiated plan, prices in :attr:`unit` units otherwise."""
+        return np.log(prices) if self.log_prices else prices / self.unit
 
     def prices(self, point: np.ndarray) -> np.ndarray:
         """The prices at a point of :meth:`point`'s coordinates."""
-        return np.exp(point) if self.log_prices else point
+        return np.exp(point) if self.log_prices else self.unit * point
 
     def costs(self, prices: np.ndarray) -> np.ndarray:
         """Per-job costs ``D @ prices`` (the prices themselves when ``D`` is ``None``)."""
@@ -491,13 +507,14 @@ def _barrier_value(problem, spec, t_scaled, point) -> float:
         if not (slack > 0.0).all():
             return math.inf
         value = problem._objective(spec, costs)
+        total = prices.sum()  # past the float range, the share term is infinite
     if not math.isfinite(value):
         return math.inf
     value = -t_scaled * value - float(np.log(slack).sum())
     if problem.log_prices:
         return value
     value -= float(np.log(prices).sum())
-    return value + problem.dim * math.log(float(prices.sum()))
+    return value + problem.dim * math.log(total)
 
 
 def _barrier_derivatives(problem, spec, t_scaled, point):
@@ -518,11 +535,12 @@ def _barrier_derivatives(problem, spec, t_scaled, point):
       ``H`` (``P = diag(p)``) without the first-order term ``diag(P g)``,
       which vanishes at each centre, so the Newton decrement is the one in
       price space.  It is held as a :class:`_DiagonalLowRankSystem`;
-    - resource and bundled plans step in price space, through ``M = D /
-      r`` (``d log r / dp``, whose entries are at most ``1 / p``): ``J = G
-      diag(e x) M``, and the Hessian ``Mᵀ diag(h) M + Jᵀ S⁻² J`` plus the
-      share term's ``diag(1 / p²) - dim / (sum p)² 11ᵀ``, a dense system
-      of a few prices.
+    - resource and bundled plans step in prices ``z = p / unit``
+      (:attr:`_PriceProblem.unit`), through ``M = D diag(unit) / r`` (``d
+      log r / dz``, entries at most ``1 / z``): ``J = G diag(e x) M``, and
+      the Hessian ``Mᵀ diag(h) M + Jᵀ S⁻² J`` plus the share term's
+      ``diag(1 / z²) - dim v vᵀ`` (``v = unit / sum p``, indefinite where
+      prices are unequal), a dense system of a few prices.
     """
     e = problem.kernel.e
 
@@ -530,9 +548,9 @@ def _barrier_derivatives(problem, spec, t_scaled, point):
         return _tangent_reach(slack, jac @ direction, problem.limits)
 
     def price_reach(direction):  # capacity rows and positivity
-        slacks = np.concatenate((slack, prices))
+        slacks = np.concatenate((slack, point))
         rates = np.concatenate((jac @ direction, -direction))
-        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, prices)))
+        return _tangent_reach(slacks, rates, np.concatenate((problem.limits, point)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         prices = problem.prices(point)
@@ -546,16 +564,17 @@ def _barrier_derivatives(problem, spec, t_scaled, point):
         if problem.log_prices:
             grad = -t_scaled * obj1 + jac.T @ (1.0 / slack)
             return grad, _DiagonalLowRankSystem(h, jac, slack, log_reach)
-        M = problem.D / costs[:, None]  # d log r / dp
+        M = (problem.unit * problem.D) / costs[:, None]  # d log r / d point
         jac = jac @ M
         grad = -t_scaled * (M.T @ obj1)
         grad += jac.T @ (1.0 / slack)
-        total = float(prices.sum())
-        grad += problem.dim / total - 1.0 / prices
+        share = problem.unit / prices.sum()  # d log(sum p) / dz
+        grad += problem.dim * share - 1.0 / point
         hess = (M.T * h) @ M
-        hess += (jac.T / slack**2) @ jac
-        hess += np.diag(1.0 / prices**2)
-        hess -= problem.dim / total**2
+        rates = jac / slack[:, None]  # relative rates: their squares stay in range
+        hess += rates.T @ rates
+        hess += np.diag((1.0 / point) ** 2)  # overflows to inf, never divides by zero
+        hess -= problem.dim * (share[:, None] * share)
     return grad, _DenseSystem(hess, price_reach)
 
 
@@ -696,9 +715,9 @@ def _newton_direction(system, grad: np.ndarray) -> np.ndarray:
 
     ``system.solve`` fails unless the ridged Hessian is positive definite;
     when the barrier Hessian is indefinite (the weighted objective need not
-    be concave above the certified revenue weight) a growing multiple of
-    the identity, from a floor of ``1e-10 * system.scale``, blends the step
-    toward steepest descent.
+    be concave above the certified revenue weight, and a price share term
+    is not convex) a growing multiple of the identity, from a floor of
+    ``1e-10 * system.scale``, blends the step toward steepest descent.
     """
     tau = 0.0
     for _ in range(40):
@@ -957,10 +976,13 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # space, whatever coordinates the Newton steps take.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
         slopes = problem.objective_log_derivatives(spec, costs)[0] / costs
-        obj_slope = float(np.linalg.norm(slopes if problem.D is None else problem.D.T @ slopes))
         barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point)
         if problem.log_prices:
+            obj_slope = float(np.linalg.norm(slopes))
             barrier_grad = barrier_grad / prices
+        else:  # tiny requirements give slopes whose squares underflow
+            obj_slope = float(np.hypot.reduce(problem.D.T @ slopes))
+            barrier_grad = barrier_grad / problem.unit
     barrier_slope = float(np.hypot.reduce(barrier_grad))  # a norm that cannot overflow
     t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
 

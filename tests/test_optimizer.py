@@ -188,7 +188,8 @@ class TestBarrier:
     def test_barrier_hessian_matches_central_differences(self, toy_instance, reference_instance):
         # the analytic Hessian against verify's finite differences of the
         # barrier value in price space, at the solver's start and at a point
-        # deeper inside; a differentiated system in log prices is P H P
+        # deeper inside; a differentiated system in log prices is P H P, and
+        # one in price units is U H U (U = diag(unit))
         spec = ObjectiveSpec(1.0, 2.0)
         for instance in (toy_instance, reference_instance):
             for kind in ("bundled", "resource", "differentiated"):
@@ -202,9 +203,9 @@ class TestBarrier:
                     def value(p):
                         return _barrier_value(problem, spec, t_scaled, problem.point(p))
 
+                    chain = coordinate_chain(problem, prices)
                     numeric = central_difference_hessian(value, prices)
-                    if problem.log_prices:
-                        numeric = prices[:, None] * numeric * prices[None, :]
+                    numeric = chain[:, None] * numeric * chain[None, :]
                     scale = float(np.max(np.abs(analytic)))
                     assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale, (instance, kind)
 
@@ -258,6 +259,27 @@ class TestBarrier:
         assert solved.converged
         floor = grid.objective_value - 1e-3 * abs(grid.objective_value)
         assert solved.objective_value >= floor
+
+    def test_certified_solve_reaches_a_vanishing_price(self):
+        # at nu on the certified bound the objective is concave in the
+        # prices, but the share term is not convex; this market's optimum
+        # lies where the first price vanishes
+        instance = _shared_dominant_instance(np.random.default_rng(0))
+        spec = ObjectiveSpec(concavity_weight_bound(instance, 2.0), 2.0)
+        assert spec.nu > 0.0
+        result = barrier_optimize(instance, "resource", spec)
+        assert result.converged, result.message
+        low, high = result.plan.prices
+        assert low < 1e-6 * high
+        wide = [np.linspace(0.0, 3.0, 301)] * 2
+        zoom = [
+            np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 61) * high)),
+            np.linspace(0.9 * high, 1.1 * high, 401),
+        ]
+        scale = max(1.0, abs(result.objective_value))
+        for axes in (wide, zoom):
+            grid = grid_oracle(instance, "resource", spec, axes)
+            assert result.objective_value >= grid.objective_value - 1e-6 * scale
 
     def test_steep_fairness_reaches_the_wall(self):
         # the start objective can exceed the optimum's magnitude by dozens
@@ -509,6 +531,13 @@ def reference_cost_map(problem):
     return np.eye(problem.dim) if problem.D is None else problem.D
 
 
+def coordinate_chain(problem, prices):
+    """``d price / d coordinate`` of the barrier's Newton coordinates: the
+    prices for a differentiated plan, which steps in log prices, and the
+    price units otherwise."""
+    return prices if problem.log_prices else problem.unit
+
+
 def reference_barrier_value(problem, spec, t_scaled, prices):
     """The barrier's value; only a plan in price coordinates has the log
     barrier of its price shares, ``-sum_k log(p_k / sum_j p_j)``."""
@@ -524,9 +553,8 @@ def reference_barrier_value(problem, spec, t_scaled, prices):
     if not np.isfinite(value):
         return np.inf
     value = -t_scaled * value - float(np.sum(np.log(slack)))
-    if not problem.log_prices:  # the oracle's order, for bitwise equal floats
-        value -= float(np.sum(np.log(prices)))
-        value += problem.dim * math.log(float(np.sum(prices)))
+    if not problem.log_prices:  # the defining form
+        value -= float(np.sum(np.log(prices / np.sum(prices))))
     return value
 
 
@@ -558,7 +586,7 @@ def reference_barrier_magnitudes(problem, spec, t_scaled, prices):
     G, w, beta = problem.G, problem.w, spec.beta
     D = reference_cost_map(problem)
     costs = D @ prices
-    chain = prices if problem.log_prices else np.ones_like(prices)  # d price / d coordinate
+    chain = coordinate_chain(problem, prices)
     K = np.abs(D) * chain  # d cost / d coordinate
     x1, x2 = law_derivatives(problem.kernel, "demand", costs)
     slack = problem.limits - G @ problem.kernel.demand(costs)
@@ -579,8 +607,9 @@ def reference_barrier_magnitudes(problem, spec, t_scaled, prices):
     if not problem.log_prices:  # the price shares
         total = np.sum(prices)
         value += np.abs(np.log(prices)).sum() + problem.dim * abs(np.log(total))
-        grad += 1.0 / prices + problem.dim / total
-        hess += np.diag(1.0 / prices**2) + problem.dim / total**2
+        value += np.abs(np.log(prices / total)).sum()  # and in the reference's form
+        grad += chain * (1.0 / prices + problem.dim / total)
+        hess += chain[:, None] * (np.diag(1.0 / prices**2) + problem.dim / total**2) * chain
     return value, grad, hess
 
 
@@ -732,10 +761,9 @@ class TestOracleMatchesReference:
             prices[rng.integers(problem.dim)] *= -1.0
         elif where == "over capacity":
             prices /= 10.0  # at least ten times the start's demand, which is half a row
-        point = prices
+        with np.errstate(divide="ignore", invalid="ignore"):
+            point = problem.point(prices)
         if problem.log_prices:  # the oracle reads u = log p, and the prices exp(u)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                point = np.log(prices)
             prices = np.exp(point)
 
         with np.errstate(all="ignore"):  # the reference's own warnings are not under test
@@ -743,9 +771,13 @@ class TestOracleMatchesReference:
             if expected < np.inf:
                 sizes = reference_barrier_magnitudes(problem, spec, t_scaled, prices)
         value = _barrier_value(problem, spec, t_scaled, point)
-        if problem.log_prices and np.isfinite(expected):
-            # log p is read as u itself, so the floats differ in rounding
-            assert abs(value - expected) <= 1e-12 * sizes[0]
+        if np.isfinite(expected):
+            # log p is read as u itself, and the reference forms the share
+            # term from the shares, so the floats differ in rounding: in
+            # price coordinates by a few ulps per price
+            eps = np.finfo(float).eps
+            rtol = 1e-12 if problem.log_prices else 4.0 * (problem.dim + 1) * eps
+            assert abs(value - expected) <= rtol * sizes[0]
         else:
             assert value == expected or (np.isnan(value) and np.isnan(expected))
         if where != "inside":
@@ -758,8 +790,8 @@ class TestOracleMatchesReference:
                 # the oracle forms its derivatives from elasticities, so the
                 # floats differ in rounding, and per-cost derivatives may
                 # overflow where they do not; in u = log p the gradient is
-                # P g and the system P H P
-                chain = prices if problem.log_prices else np.ones_like(prices)
+                # P g and the system P H P, in price units U g and U H U
+                chain = coordinate_chain(problem, prices)
                 assert np.all(np.abs(new_grad - chain * grad) <= 1e-12 * sizes[1])
                 transformed = chain[:, None] * hess * chain[None, :]
                 assert np.all(np.abs(assembled(system) - transformed) <= 1e-12 * sizes[2])
@@ -1240,8 +1272,8 @@ class TestCoarseProbe:
 
         monkeypatch.setattr(optimizer, "_coarse_probe", record)
         assert not barrier_optimize(instance, "resource", spec).converged
-        [(problem, point)] = points
-        assert np.isfinite(_barrier_value(problem, spec, 0.0, point))
+        [(problem, prices)] = points
+        assert np.isfinite(_barrier_value(problem, spec, 0.0, problem.point(prices)))
 
     def test_ladder_from_the_probe_point_converges(self):
         # the default start stalls, and the probe's ladder, whose smallest
@@ -1394,10 +1426,29 @@ class TestUnitInvariance:
             instance = random_instance(np.random.default_rng(market), m=2, n=3)
         spec = ObjectiveSpec(1.0, beta)
         base = barrier_optimize(instance, kind, spec)
-        for k in (1e8, 1e-8, 1e30, 1e-30, 1e100, 1e-100):
+        for k in (1e8, 1e-8, 1e30, 1e-30, 1e100, 1e-100, 1e165, 1e-160):
             result = barrier_optimize(scaled_units(instance, k), kind, spec)
             assert result.converged == base.converged, k
             assert result.objective_value == pytest.approx(base.objective_value, rel=1e-9), k
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "k, beta",
+        [(k, 0.5) for k in (1e-300, 1e-160, 1e165, 1e300)]
+        + [(k, beta) for k in (1e-300, 1e300) for beta in (2.0, 20.0)],
+    )
+    def test_resource_solves_at_extreme_units(self, k, beta):
+        # beta 0.5 and k = 1e±300, beyond the cases above: in price
+        # coordinates, prices near 1e160 (k = 1e-160) made squaring their
+        # sum raise OverflowError and the slacks' squares underflow to zero,
+        # and prices near 1e-165 overflowed the share term's 1 / p²; in
+        # price units every scale takes the reference market's path
+        instance = google_cluster_instance()
+        spec = ObjectiveSpec(1.0, beta)
+        base = barrier_optimize(instance, "resource", spec)
+        result = barrier_optimize(scaled_units(instance, k), "resource", spec)
+        assert result.converged, result.message
+        assert result.objective_value == pytest.approx(base.objective_value, rel=1e-6)
 
 
 class TestLooseCentering:
@@ -1490,7 +1541,7 @@ class TestTangentStepBound:
         spec = ObjectiveSpec(1.0, 2.0)
         problem = _PriceProblem(instance, "resource")
         start = _feasible_start(problem, spec)
-        grad, system = _barrier_derivatives(problem, spec, 1.0, start)
+        grad, system = _barrier_derivatives(problem, spec, 1.0, problem.point(start))
         assert np.isfinite(grad).all() and system.finite()
         assert system.reach(np.array([-1.0])) < math.inf  # lower prices fill the row
         bundled = barrier_optimize(instance, "bundled", spec).outcome.per_job_costs[0]
