@@ -116,6 +116,15 @@ NEWTON_STEPS = 80
 #: stops centering: inside Newton's quadratic region, where the next
 #: round's first steps finish what this one leaves
 CENTERING_DECREMENT = 1e-2
+#: binding-row load to which a warm start is scaled before its ladder runs.
+#: A neighbouring optimum sits on the capacity wall, and a warm point must
+#: first be pulled away from it (Yildirim & Wright, SIAM J. Optim. 12, 2002):
+#: at load 0.99 the first barrier weight, balanced there, is about 630 on
+#: the reference market at beta 20, and the first centering slides along
+#: the wall until its step budget runs out.  Over that market's four 24-step
+#: beta-20 sweeps, loads 0.90, 0.95 and 0.97 stall no warm ladder, 0.98 one
+#: and 0.99 twenty-eight
+WARM_START_LOAD = 0.95
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -837,9 +846,9 @@ def barrier_optimize(
     :class:`InfeasibleError`.
 
     ``start`` (positive prices of this plan, such as a neighbouring
-    market's optimum) is tried first, scaled to 99% of the binding
-    capacity; if its ladder stalls, the solve goes on exactly as without it.
-    A bundled solve checks it and has no use for it.
+    market's optimum) is tried first, scaled to load the binding capacity
+    row to :data:`WARM_START_LOAD`; if its ladder stalls, the solve goes on
+    exactly as without it.  A bundled solve checks it and has no use for it.
     """
     _check_tolerance(tolerance)
     problem = _PriceProblem(instance, plan_kind, bundle)
@@ -881,15 +890,16 @@ def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarra
 def _start_candidates(problem: _PriceProblem, spec: ObjectiveSpec, warm):
     """Starts for the barrier ladders, each computed only once a stall reaches it.
 
-    In order: the warm start, scaled to 99% of the binding capacity; the
-    default start (:func:`_feasible_start`); and, for at most four prices,
+    In order: the warm start, scaled to load the binding capacity row to
+    :data:`WARM_START_LOAD`, away from the wall it came from; the default
+    start (:func:`_feasible_start`); and, for at most four prices,
     the best cell of a coarse grid around the default start.  A start
     outside the barrier's domain is dropped.
     """
 
     def candidates():
         if warm is not None:
-            yield problem.level_for_load(0.99, warm) * warm
+            yield problem.level_for_load(WARM_START_LOAD, warm) * warm
         start = _feasible_start(problem, spec)
         yield start
         if problem.dim <= 4:

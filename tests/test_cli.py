@@ -558,6 +558,26 @@ class TestSweep:
                 assert warm >= cold.objective_value - slack
                 assert warm <= cold.objective_value + slack
 
+    def test_capacity_cpu_sweep_runs_no_stalled_ladder(self, instance_file, tmp_path, monkeypatch):
+        # warm starts scaled 1% inside capacity stalled 19 ladders of this
+        # sweep, each 80 Newton steps before the cold fallback
+        ladder, stalled = optimizer._barrier_ladder, []
+
+        def record(*args):
+            result = ladder(*args)
+            if not result.converged:
+                stalled.append(result.message)
+            return result
+
+        monkeypatch.setattr(optimizer, "_barrier_ladder", record)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--instance", instance_file, "--param", "capacity:cpu", "--start", "0.5"]
+        args += ["--stop", "7.5", "--steps", "24", "--nu", "0,1", "--beta", "20"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert stalled == []
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["True"] * 144
+
     def test_beta20_three_plan_sweep_is_reproducible(self, instance_file, tmp_path):
         # warm starts chain every row to the rows before it; reruns must agree
         args = ["sweep", "--instance", instance_file, "--param", "mix:type1", "--start", "0.1"]
