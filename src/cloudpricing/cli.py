@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -378,6 +379,7 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+@cache  # one parser per process: in-process callers run many commands
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudpricing",

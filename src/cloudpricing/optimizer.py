@@ -8,7 +8,9 @@ Hessians are assembled analytically from that structure.
 
 A bundled plan has one price, and its optimum is the lowest price that
 fills the bundles for every weight (:func:`bundled_price_bisection`), so it
-is solved in closed form.  The other plans use a log-barrier interior-point
+is solved in closed form.  So is a resource plan whose objective the
+concavity certificate covers, when KKT proves its optimum at a face that
+prices one resource.  Otherwise plans use a log-barrier interior-point
 method: minimize
 
     f_t(p) = -t * objective(p) - sum_i log(slack_i(p))
@@ -142,7 +144,10 @@ class SolveResult:
     ``converged`` implies it is at or below the requested tolerance.
     ``iterations`` counts the Newton steps of every barrier ladder the
     solve ran, stalled ones (:func:`_start_candidates`) too.  A bundled
-    solve is closed-form: its ``iterations`` and ``gap`` are 0.
+    solve is closed-form: its ``iterations`` and ``gap`` are 0.  So is a
+    resource solve that KKT proves optimal at a one-price face
+    (:func:`_certified_face`): its ``iterations`` are 0, and its ``gap`` is
+    the objective lost to posting the unpaid prices small but positive.
     """
 
     plan: PricingPlan
@@ -186,8 +191,10 @@ def concavity_weight_bound(instance: Instance, beta: float) -> float:
 
     Any ``nu`` at or below the returned value makes ``nu * revenue + F_beta``
     a concave function of the prices, so price optimization is a convex
-    program.  Requires ``beta > 1``; returns 0 when ``beta * (1 - alpha_j)``
-    does not exceed the discount for every type (no certificate available).
+    program.  Requires ``beta > 1``.  A return of 0.0 means no certificate,
+    not even for ``nu = 0``: it comes back when ``beta * (1 - alpha_j)``
+    does not exceed the discount for some type, or when the bound
+    underflows, so callers test ``bound > 0`` before ``nu <= bound``.
     Each type's term is a product of four powers, formed in logs from the
     market's columns at once, so no factor overflows where the product
     does not.
@@ -836,6 +843,14 @@ def barrier_optimize(
     the solve returns that price (:func:`bundled_price_bisection`) with
     ``iterations=0`` and ``gap=0.0``, running no barrier ladder.
 
+    A resource solve first tries the one-price faces where
+    :func:`concavity_weight_bound` certifies the objective concave (``beta
+    > 1`` and ``0 <= nu <= bound``, with ``bound > 0``): when KKT proves
+    the best face optimal, the solve returns it with ``iterations=0``,
+    running no ladder (:func:`_certified_face`).  Without a certificate a
+    face that meets the same conditions may be only a local optimum, so
+    every other solve runs its ladders.
+
     Other plans start from a strictly feasible price vector found
     internally, then run the log-barrier method with damped Newton inner
     solves until the barrier gap, relative to the objective, is at most
@@ -864,7 +879,9 @@ def barrier_optimize(
         if not math.isfinite(value):
             raise _no_finite_objective(spec)
         best = _LadderResult(prices, 0, value, 0.0, True, "")
-    else:
+    elif problem.kind == "resource":
+        best = _certified_face(instance, problem, spec, tolerance)
+    if best is None:
         for prices in _start_candidates(problem, spec, start):
             result = _barrier_ladder(problem, spec, tolerance, prices)
             iterations += result.iterations
@@ -878,6 +895,80 @@ def barrier_optimize(
         plan=plan, outcome=evaluate(instance, plan), objective_value=best.value,
         iterations=iterations, converged=best.converged, gap=best.gap, message=best.message,
     )
+
+
+#: a certified face posts its unpaid prices small but positive, as
+#: ``start=`` and output checks require: the largest cost each adds to a job
+#: is this share of the largest the paid price adds, in any resource units
+FACE_UNPAID_SHARE = 2.0**-40
+#: a second capacity row loaded within this share of the binding one ties
+#: with it at a face, where one row's multiplier no longer proves optimality
+FACE_TIE_RTOL = 1e-9
+
+
+def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveSpec, tolerance):
+    """A resource optimum proved at a one-price face, or ``None``.
+
+    A face prices one resource ``k`` and leaves the others at zero; it is
+    feasible when every type needs ``k``, and as for the bundled plan its
+    optimum is the lowest price that fills the binding row.  Where
+    :func:`concavity_weight_bound` certifies the objective concave
+    (``beta > 1``, ``0 <= nu <= bound``; a bound of 0 certifies nothing), the
+    KKT conditions at the best face prove it the global optimum (Boyd &
+    Vandenberghe, *Convex Optimization*, §5.5.3): with one binding row
+    ``g``, ``λ = ∂f/∂z_k / ∂g/∂z_k`` is positive and so is every unpaid
+    price's multiplier ``μ_i = λ ∂g/∂z_i − ∂f/∂z_i``, both formed from the
+    elasticities in the ladder's price units :attr:`_PriceProblem.unit`.
+    The face is posted with its unpaid prices at :data:`FACE_UNPAID_SHARE`
+    of the paid one, each measured by its largest entry of ``D``, and
+    re-levelled to load 1; ``gap`` is the objective lost to that, relative
+    to the face's value.  Without a certificate, at a tie of rows, where
+    the conditions fail, or where that loss exceeds ``tolerance``, the
+    ladders decide.
+    """
+    if not (spec.beta > 1.0 and 0.0 < concavity_weight_bound(instance, spec.beta) >= spec.nu):
+        return None
+
+    def face(k, unpaid=0.0):  # one price unit of resource k, and `unpaid` units of k elsewhere
+        return problem.unit[k] * np.where(np.arange(problem.dim) == k, 1.0, unpaid)
+
+    faces = []
+    for k in np.nonzero((problem.D > 0.0).all(axis=0))[0]:
+        try:
+            level = problem.level_for_load(1.0, face(k))
+        except InfeasibleError:
+            continue
+        value = problem.objective_value(spec, problem.costs(level * face(k)))
+        if math.isfinite(value):
+            faces.append((value, int(k), level))
+    if not faces:
+        return None
+    value, k, level = max(faces)
+    costs = problem.costs(level * face(k))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        demand = problem.kernel.demand(costs)
+        loads = (problem.G @ demand) / problem.limits
+        row = int(np.argmax(loads))
+        M = (problem.unit * problem.D) / costs[:, None]  # d log r / d point
+        grad = M.T @ problem.objective_log_derivatives(spec, costs)[0]
+        row_grad = (problem.G[row] * (problem.kernel.e * demand)) @ M
+        lam = grad[k] / row_grad[k]
+        mu = np.delete(lam * row_grad - grad, k)
+    if np.count_nonzero(loads >= (1.0 - FACE_TIE_RTOL) * loads[row]) > 1:
+        return None
+    if not (0.0 < lam < math.inf and ((mu > 0.0) & (mu < math.inf)).all()):
+        return None
+    largest = problem.D.max(axis=0)  # every one positive, since every mu is
+    with np.errstate(over="ignore"):
+        base = face(k, FACE_UNPAID_SHARE * largest[k] / largest)
+    if not ((base > 0.0) & (base < math.inf)).all():
+        return None
+    prices = problem.level_for_load(1.0, base, level) * base
+    posted = problem.objective_value(spec, problem.costs(prices))
+    gap = max(0.0, (value - posted) / abs(value))
+    if not gap <= tolerance:
+        return None
+    return _LadderResult(prices, 0, posted, gap, True, "")
 
 
 def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarray):

@@ -520,7 +520,9 @@ class TestWarmStart:
             barrier_optimize(reference_instance, "resource", ObjectiveSpec(1.0, 2.0), start=start)
 
     def test_warm_start_from_the_optimum_is_pulled_inside(self, reference_instance):
-        spec = ObjectiveSpec(0.0, 20.0)
+        # at nu 1 the objective has no concavity certificate, so the cold
+        # solve runs its ladder (at nu 0 it closes at a one-price face)
+        spec = ObjectiveSpec(1.0, 20.0)
         cold = barrier_optimize(reference_instance, "resource", spec)
         warm = barrier_optimize(reference_instance, "resource", spec, start=cold.plan.prices)
         assert warm.converged
@@ -1257,6 +1259,103 @@ class TestBundledClosedForm:
         first = optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
         result = barrier_optimize(instance, "differentiated", spec)
         assert result.objective_value >= first.value
+
+
+def face_values(instance, spec):
+    """Each feasible one-price face's value: the lowest level of that price
+    alone that fills the binding row, found from plain unit prices."""
+    problem = _PriceProblem(instance, "resource")
+    values = []
+    for k in range(problem.dim):
+        if np.all(problem.D[:, k] > 0.0):
+            base = np.eye(problem.dim)[k]
+            prices = problem.level_for_load(1.0, base) * base
+            values.append(problem.objective_value(spec, problem.costs(prices)))
+    return values
+
+
+def cold_ladder(instance, spec):
+    """One resource ladder from the default start, as every solve ran before faces."""
+    problem = _PriceProblem(instance, "resource")
+    return optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
+
+
+class TestCertifiedFace:
+    """Where the objective is certified concave, KKT at a one-price face ends a resource solve."""
+
+    def test_reference_market_closes_at_its_face(self, reference_instance):
+        spec = ObjectiveSpec(0.0, 20.0)
+        result = barrier_optimize(reference_instance, "resource", spec)
+        assert (result.iterations, result.converged, result.message) == (0, True, "")
+        assert np.all(result.plan.prices > 0.0) and result.outcome.feasible
+        # the largest memory cost of any type is 2**-40 of its largest CPU cost
+        largest = result.plan.prices * _PriceProblem(reference_instance, "resource").D.max(axis=0)
+        assert largest[1] == pytest.approx(2.0**-40 * largest[0], rel=1e-15)
+        ladder = cold_ladder(reference_instance, spec)
+        assert ladder.converged and ladder.iterations > 0
+        value = result.objective_value
+        assert value >= ladder.value - 1e-9 * abs(ladder.value)
+        best, *others = sorted(face_values(reference_instance, spec), reverse=True)
+        assert len(others) == 1 and all(value >= other for other in others)
+        assert 0.0 <= result.gap <= 1e-6
+        assert value == pytest.approx(best - result.gap * abs(best), rel=1e-12)
+
+    @pytest.mark.parametrize("nu, beta", [(0.0, 2.0), (1.0, 20.0)])
+    def test_ladder_runs_without_a_certificate(self, reference_instance, nu, beta):
+        # beta 2 has no certificate (a bound of 0 certifies not even nu 0),
+        # and nu 1 lies far above beta 20's bound of about 1e-23
+        bound = concavity_weight_bound(reference_instance, beta)
+        assert bound == 0.0 or bound < nu
+        result = barrier_optimize(reference_instance, "resource", ObjectiveSpec(nu, beta))
+        assert result.converged and result.iterations > 0
+
+    def test_ladder_runs_where_the_optimum_prices_every_resource(self):
+        # certified, but the optimum prices both resources (1.71 and 0.26),
+        # and the best face's |objective| is 21 decades larger: KKT fails at
+        # every face, and the ladder decides
+        instance = random_instance(np.random.default_rng(0), m=2, n=4)
+        spec = ObjectiveSpec(0.0, 20.0)
+        assert concavity_weight_bound(instance, spec.beta) > 0.0
+        result = barrier_optimize(instance, "resource", spec)
+        assert result.converged and result.iterations > 0
+        assert abs(result.objective_value) < 1e-20 * abs(max(face_values(instance, spec)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(1, 8),
+        beta=st.sampled_from([2.0, 20.0]),
+        half_bound=st.booleans(),
+    )
+    def test_a_face_is_no_lower_than_the_ladder(self, seed, m, n, beta, half_bound):
+        instance = random_instance(np.random.default_rng(seed), m=m, n=n)
+        nu = concavity_weight_bound(instance, beta) / 2.0 if half_bound else 0.0
+        spec = ObjectiveSpec(nu, beta)
+        try:
+            result = barrier_optimize(instance, "resource", spec)
+            if result.iterations:  # no face closed the solve
+                return
+            ladder = cold_ladder(instance, spec)
+        except InfeasibleError:  # F_beta leaves the float range at every start
+            return
+        assert result.converged and 0.0 <= result.gap <= 1e-6
+        assert result.objective_value >= ladder.value - 1e-6 * abs(ladder.value)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-150, 150))
+    @example(seed=0, j=150)  # seed 0 is the reference market
+    def test_scaled_units_take_the_same_path(self, seed, j):
+        instance = google_cluster_instance() if seed == 0 else random_instance(
+            np.random.default_rng(seed), m=2, n=3
+        )
+        spec = ObjectiveSpec(0.0, 20.0)
+        base = barrier_optimize(instance, "resource", spec)
+        result = barrier_optimize(scaled_units(instance, 10.0**j), "resource", spec)
+        assert result.converged == base.converged
+        assert (result.iterations == 0) == (base.iterations == 0)
+        if base.iterations == 0:
+            assert result.objective_value == pytest.approx(base.objective_value, rel=1e-12)
 
 
 class TestCoarseProbe:
