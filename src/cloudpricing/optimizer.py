@@ -341,24 +341,25 @@ class _PriceProblem:
         return spec.nu * revenue + _power_fairness(utils, self.w, spec.beta)
 
     def objective_log_derivatives(
-        self, spec: ObjectiveSpec, costs: np.ndarray
+        self, spec: ObjectiveSpec, costs: np.ndarray, weight: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``r f'`` and ``r² f''`` of the objective ``f`` per per-job cost ``r``
-        (callers ignore overflow and invalid operations).
+        """``r f'`` and ``r² f''`` of the objective ``f`` times a positive
+        ``weight``, per per-job cost ``r`` (callers ignore overflow and
+        invalid operations).
 
         With the bill ``B = A r**q``, the elasticities are ``r B' = q B`` and
         ``r² B'' = q (q - 1) B`` for revenue, and ``-B`` and ``-(q - 1) B``
-        for the surplus.
+        for the surplus ``u``, which ``F_beta`` weighs by ``u**-beta``.  The
+        weight joins it in logs, ``exp(log weight - beta log u)``, so the
+        results overflow only where ``weight F_beta ∝ u**(1 - beta)`` does.
         """
         beta, q = spec.beta, self.kernel.q
         powered = costs**q
         utils = self.kernel(costs, powered)
         bills = self.kernel.A * powered
-        um_b = utils**-beta
-        first = self.w * bills * (spec.nu * q - um_b)
-        second = self.w * bills * (
-            (q - 1.0) * (spec.nu * q - um_b) - beta * um_b * bills / utils
-        )
+        um_b = np.exp(math.log(weight) - beta * np.log(utils))
+        first = self.w * bills * (weight * spec.nu * q - um_b)
+        second = (q - 1.0) * first - self.w * bills * (beta * um_b * bills / utils)
         return first, second
 
 
@@ -471,13 +472,12 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     demand negligible, and its flat objective coordinate then drifts on the
     barrier instead of optimizing.  Each level search after the first starts
     from the level before it.  When positive net utilities, or an
-    objective and its elasticities ``r f'`` and ``r² f''`` inside the float
-    range (``F_beta`` of tiny utilities at large ``beta`` is not), require
-    lower prices than the half-capacity point allows, the target is relaxed
-    toward the boundary.  A start whose objective is finite but whose
-    elasticities overflow is kept only when no target gives finite ones.
+    objective inside the float range (``F_beta`` of tiny utilities at large
+    ``beta`` is not), require lower prices than the half-capacity point
+    allows, the target is relaxed toward the boundary: the start is the
+    first target whose objective is finite.
     """
-    fallback, level = None, 1.0
+    level = 1.0
     for target in (0.5, 0.8, 0.95, 0.99):
         if problem.kind == "differentiated":
             base = problem.own_costs(np.full(problem.dim, target / problem.dim))
@@ -486,16 +486,8 @@ def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
         else:
             level = problem.level_for_load(target, guess=level)
             start = np.full(problem.dim, level)
-        costs = problem.costs(start)
-        if math.isfinite(problem.objective_value(spec, costs)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                slopes = problem.objective_log_derivatives(spec, costs)
-            if all(np.all(np.isfinite(s)) for s in slopes):
-                return start
-            if fallback is None:
-                fallback = start
-    if fallback is not None:
-        return fallback
+        if math.isfinite(problem.objective_value(spec, problem.costs(start))):
+            return start
     raise _no_finite_objective(spec)
 
 
@@ -539,11 +531,13 @@ def _barrier_derivatives(problem, spec, t_scaled, point):
 
     Every per-type derivative is formed as an elasticity: ``r x' = e x``
     and ``r² x'' = e (e - 1) x`` for demand, and ``r f'`` and ``r² f''``
-    for the objective (:meth:`_PriceProblem.objective_log_derivatives`);
-    none overflows where its power law does not.  With ``J`` the usage
-    Jacobian (one row per capacity row), ``S`` the slacks and ``h`` the
-    per-type second elasticities ``-t r² f'' + sum_i G_ij e (e - 1) x_j /
-    s_i``, only the map to the Newton coordinates differs by plan:
+    for the objective, formed with its weight ``t = t_scaled``
+    (:meth:`_PriceProblem.objective_log_derivatives`; ``t = 0`` leaves the
+    barrier terms alone); none overflows where its power law does not.
+    With ``J`` the usage Jacobian (one row per capacity row), ``S`` the
+    slacks and ``h`` the per-type second elasticities ``-t r² f'' + sum_i
+    G_ij e (e - 1) x_j / s_i``, only the map to the Newton coordinates
+    differs by plan:
 
     - a differentiated plan's prices are its costs, and it steps in ``u =
       log p`` with no positivity term: ``J = G diag(e x)``, and the system
@@ -573,17 +567,19 @@ def _barrier_derivatives(problem, spec, t_scaled, point):
         costs = problem.costs(prices)
         demand = problem.kernel.demand(costs)
         slack = problem.limits - problem.G @ demand
-        obj1, obj2 = problem.objective_log_derivatives(spec, costs)
+        if t_scaled:
+            obj1, obj2 = problem.objective_log_derivatives(spec, costs, t_scaled)
+        else:  # the barrier terms alone
+            obj1, obj2 = np.zeros((2, costs.size))
         jac = problem.G * (e * demand)  # d usage_i / d log r_j
         curvature = (problem.G * (e * (e - 1.0) * demand)) / slack[:, None]
-        h = -t_scaled * obj2 + curvature.sum(axis=0)
+        h = curvature.sum(axis=0) - obj2
         if problem.log_prices:
-            grad = -t_scaled * obj1 + jac.T @ (1.0 / slack)
+            grad = jac.T @ (1.0 / slack) - obj1
             return grad, _DiagonalLowRankSystem(h, jac, slack, log_reach)
         M = (problem.unit * problem.D) / costs[:, None]  # d log r / d point
         jac = jac @ M
-        grad = -t_scaled * (M.T @ obj1)
-        grad += jac.T @ (1.0 / slack)
+        grad = jac.T @ (1.0 / slack) - M.T @ obj1
         share = problem.unit / prices.sum()  # d log(sum p) / dz
         grad += problem.dim * share - 1.0 / point
         hess = (M.T * h) @ M
@@ -746,6 +742,8 @@ def _newton_direction(system, grad: np.ndarray) -> np.ndarray:
         if not tau:
             floor = 1e-10 * system.scale
         tau = max(floor, tau * 4.0)
+        if not tau < math.inf:  # inf * I is NaN off its diagonal
+            break
     return -grad  # last resort: steepest descent
 
 
@@ -950,7 +948,8 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
         loads = (problem.G @ demand) / problem.limits
         row = int(np.argmax(loads))
         M = (problem.unit * problem.D) / costs[:, None]  # d log r / d point
-        grad = M.T @ problem.objective_log_derivatives(spec, costs)[0]
+        weight = 1.0 / max(1.0, abs(value))  # finite where f is; no multiplier changes sign
+        grad = M.T @ problem.objective_log_derivatives(spec, costs, weight)[0]
         row_grad = (problem.G[row] * (problem.kernel.e * demand)) @ M
         lam = grad[k] / row_grad[k]
         mu = np.delete(lam * row_grad - grad, k)
@@ -1076,7 +1075,7 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
     # Newton steps to the same results.  Both slopes are taken in price
     # space, whatever coordinates the Newton steps take.
     with np.errstate(over="ignore", invalid="ignore"):  # no finite slope: start at t = 1
-        slopes = problem.objective_log_derivatives(spec, costs)[0] / costs
+        slopes = problem.objective_log_derivatives(spec, costs, 1.0 / scale)[0] / costs
         barrier_grad, _ = _barrier_derivatives(problem, spec, 0.0, point)
         if problem.log_prices:
             obj_slope = float(np.linalg.norm(slopes))
@@ -1085,7 +1084,7 @@ def _barrier_ladder(problem, spec, tolerance, prices) -> _LadderResult:
             obj_slope = float(np.hypot.reduce(problem.D.T @ slopes))
             barrier_grad = barrier_grad / problem.unit
     barrier_slope = float(np.hypot.reduce(barrier_grad))  # a norm that cannot overflow
-    t = max(1.0, scale * barrier_slope / max(obj_slope, 1e-300))
+    t = max(1.0, barrier_slope / max(obj_slope, 1e-300))
 
     # The gap test is relative to the objective where the iterate currently
     # sits, not where it started: steep fairness exponents shrink |objective|
