@@ -113,8 +113,7 @@ def _cmd_optimize(args) -> int:
         print(f"note: {result.message}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -374,8 +373,7 @@ def _cmd_schedule(args) -> int:
             ],
         }
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -46,7 +46,6 @@ from .fairness import beta_fairness
 from .optimizer import (
     ObjectiveSpec,
     SolveResult,
-    _DenseSystem,
     _barrier_path,
     _check_nu,
     _tangent_reach,
@@ -180,6 +179,42 @@ class HorizonResult:
     converged: bool
 
 
+class _RepairSystem:
+    """The repair's Newton system ``H d = rhs``, equilibrated and solved by one LU.
+
+    The repair's barrier is strictly convex (see :meth:`_ScheduleSystem.max_scale`),
+    so ``H`` is positive definite wherever it is finite, and no
+    definiteness test is made.  ``H`` is scaled in place to ``S H S`` with
+    ``S = diag(H)^(-1/2)``, the diagonal equilibration of Golub & Van Loan,
+    *Matrix Computations* §3.5.2: without it, the LU of the tightest
+    centerings loses the accuracy the gap needs.  A singular LU raises
+    ``LinAlgError``, which :func:`~cloudpricing.optimizer._newton_direction`
+    ridges.  ``scale``, ``finite()`` and ``reach`` mean what they do for
+    :class:`~cloudpricing.optimizer._DenseSystem`.
+    """
+
+    def __init__(self, matrix: np.ndarray, reach) -> None:
+        diagonal = matrix.diagonal()
+        self.scale = float(diagonal.max())
+        self.equilibration = 1.0 / np.sqrt(diagonal)
+        matrix *= self.equilibration[:, None]
+        matrix *= self.equilibration
+        self.matrix = matrix
+        self.reach = reach
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.matrix).all())
+
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """``(H + tau I)⁻¹ rhs`` as ``S (S H S + tau S²)⁻¹ S rhs``."""
+        S = self.equilibration
+        ridged = self.matrix
+        if tau:
+            ridged = ridged.copy()
+            ridged.flat[:: ridged.shape[0] + 1] += tau * S**2
+        return S * np.linalg.solve(ridged, S * rhs)
+
+
 class _ScheduleSystem:
     """The schedule constraints of one horizon, assembled once.
 
@@ -229,18 +264,29 @@ class _ScheduleSystem:
         Zero-demand cohorts and their columns drop out.  Each cohort row
         ``g`` is concave, as ``v**p`` is convex for ``p >= 1``, and the other
         rows are linear, so each Newton system carries the tangent step
-        bound of its direction.  The Hessian's sparsity pattern and index
-        products are formed once, here, and refilled at every step.
+        bound of its direction, and the barrier (``-t v``, ``-log`` of each
+        row, ``-log x`` and ``-L log v``) is strictly convex: each system is
+        one equilibrated LU (:class:`_RepairSystem`).  The Hessian's
+        sparsity pattern and index products are formed once, here, and
+        refilled at every step.  Masses are solved in one power-of-two unit,
+        near the mass at which one column fills its tightest capacity row,
+        and scaled back on return; the unit is exact, so the iterates are
+        those at any capacity scale.
         """
         live = demands > 0.0
         if not live.any():
             nothing = np.zeros_like(demands)
             return _Repair(self, np.zeros(0), np.zeros(0, int), nothing, nothing, math.inf, True)
-        d, p = demands[live], powers[live]
         columns = np.flatnonzero(live[self.cohort_of])
         cohort = (np.cumsum(live) - 1)[self.cohort_of[columns]]
         A = self.A_le[:, columns]
         req, rows = self.requirements[columns], self.capacity_rows[columns]
+        drawn = A.sum(axis=1)
+        used = drawn > 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            unit = np.exp2(np.round(np.min(np.log2(self.b_le[used]) - np.log2(drawn[used]))))
+            b, d = self.b_le / unit, demands[live] / unit
+        p = powers[live]
         L, V = d.size, columns.size
         n_barrier = 2 * L + self.b_le.size + V  # -log v is weighted by L
         # the Hessian's x-block couples two columns only when they share a
@@ -255,7 +301,7 @@ class _ScheduleSystem:
 
         def parts(z):
             x, v = z[:-1], z[-1]
-            return x, v, np.bincount(cohort, weights=x, minlength=L) - d * v**p, self.b_le - A @ x
+            return x, v, np.bincount(cohort, weights=x, minlength=L) - d * v**p, b - A @ x
 
         def value(z, t):
             x, v, g, s = parts(z)
@@ -285,23 +331,23 @@ class _ScheduleSystem:
                 falling = q * dz[-1] - np.bincount(cohort, weights=dx, minlength=L)
                 rates = np.concatenate((-dz, falling, A @ dx))
                 delivered = np.bincount(cohort, weights=x, minlength=L)
-                magnitudes = np.concatenate((z, delivered, self.b_le))
+                magnitudes = np.concatenate((z, delivered, b))
                 return _tangent_reach(np.concatenate((z, g, s)), rates, magnitudes)
 
-            return grad, _DenseSystem(hess, reach)
+            return grad, _RepairSystem(hess, reach)
 
         # start strictly inside: every row at most half used, every cohort
         # delivering twice what it asks at scale v; at extreme magnitudes the
         # iterates overflow, and Newton rejects non-finite values and derivatives
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = np.full(V, 0.5 * np.min(self.b_le / np.maximum(A.sum(axis=1), 1e-300)))
+            x = np.full(V, 0.5 * np.min(b[used] / drawn[used]))
             delivered = np.bincount(cohort, weights=x, minlength=L)
             z = np.append(x, np.min((delivered / (2.0 * d)) ** (1.0 / p)))
             z, _, _, message = _barrier_path(
                 value, derivatives, z, 1.0, lambda z, t: n_barrier / (t * z[-1]),
                 REPAIR_RTOL, REPAIR_ROUNDS,
             )
-        x, v = z[:-1], float(z[-1])
+        x, v = z[:-1] * unit, float(z[-1])
         delivered = np.bincount(self.cohort_of[columns], weights=x, minlength=demands.size)
         return _Repair(self, x, columns, delivered, demands * v**powers, v, not message)
 

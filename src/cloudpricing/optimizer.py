@@ -624,10 +624,10 @@ def _tangent_reach(slacks: np.ndarray, rates: np.ndarray, magnitudes: np.ndarray
 class _DenseSystem:
     """A Newton system ``H d = rhs`` held as its assembled matrix.
 
-    Resource plans (a few prices) and the deadline repair solve their
-    systems this way.  ``reach(direction)`` is the barrier's tangent step
-    bound along a direction (:func:`_tangent_reach`); a system built
-    without one has none.
+    Resource plans (a few prices) solve their systems this way; their share
+    term is not convex, so ``H`` may be indefinite and each solve tests it.
+    ``reach(direction)`` is the barrier's tangent step bound along a
+    direction (:func:`_tangent_reach`); a system built without one has none.
     """
 
     def __init__(self, matrix: np.ndarray, reach=_unbounded):
@@ -725,11 +725,15 @@ class _DiagonalLowRankSystem:
 def _newton_direction(system, grad: np.ndarray) -> np.ndarray:
     """Solve for a descent direction, ridging the Hessian up to definiteness.
 
-    ``system.solve`` fails unless the ridged Hessian is positive definite;
+    ``system.solve`` raises ``LinAlgError`` where it finds the ridged
+    Hessian singular or, for the price systems, not positive definite;
     when the barrier Hessian is indefinite (the weighted objective need not
     be concave above the certified revenue weight, and a price share term
     is not convex) a growing multiple of the identity, from a floor of
-    ``1e-10 * system.scale``, blends the step toward steepest descent.
+    ``1e-10 * system.scale``, blends the step toward steepest descent.  The
+    deadline repair's barrier is strictly convex and its system makes no
+    definiteness test; a singular LU, or a solution that is not finite or
+    not a descent direction, is ridged the same way.
     """
     tau = 0.0
     for _ in range(40):
@@ -914,9 +918,11 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
     (``beta > 1``, ``0 <= nu <= bound``; a bound of 0 certifies nothing), the
     KKT conditions at the best face prove it the global optimum (Boyd &
     Vandenberghe, *Convex Optimization*, §5.5.3): with one binding row
-    ``g``, ``λ = ∂f/∂z_k / ∂g/∂z_k`` is positive and so is every unpaid
-    price's multiplier ``μ_i = λ ∂g/∂z_i − ∂f/∂z_i``, both formed from the
-    elasticities in the ladder's price units :attr:`_PriceProblem.unit`.
+    ``g``, ``λ = ∂f/∂z_k / ∂g/∂z_k`` is positive and every unpaid price's
+    multiplier ``μ_i = λ ∂g/∂z_i − ∂f/∂z_i`` is nonnegative, both formed
+    from the elasticities in the ladder's price units
+    :attr:`_PriceProblem.unit`; a ``μ_i`` within 4 ulps of its terms below
+    zero counts as zero (one type's unpaid multipliers are all zero).
     The face is posted with its unpaid prices at :data:`FACE_UNPAID_SHARE`
     of the paid one, each measured by its largest entry of ``D``, and
     re-levelled to load 1; ``gap`` is the objective lost to that, relative
@@ -953,11 +959,13 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
         row_grad = (problem.G[row] * (problem.kernel.e * demand)) @ M
         lam = grad[k] / row_grad[k]
         mu = np.delete(lam * row_grad - grad, k)
+        # a multiplier that is zero in exact arithmetic rounds to either sign
+        rounding = 4.0 * np.finfo(float).eps * np.delete(np.abs(lam * row_grad) + np.abs(grad), k)
     if np.count_nonzero(loads >= (1.0 - FACE_TIE_RTOL) * loads[row]) > 1:
         return None
-    if not (0.0 < lam < math.inf and ((mu > 0.0) & (mu < math.inf)).all()):
+    if not (0.0 < lam < math.inf and ((mu >= -rounding) & (mu < math.inf)).all()):
         return None
-    largest = problem.D.max(axis=0)  # every one positive, since every mu is
+    largest = problem.D.max(axis=0)  # a price no type pays posts at inf, declined below
     with np.errstate(over="ignore"):
         base = face(k, FACE_UNPAID_SHARE * largest[k] / largest)
     if not ((base > 0.0) & (base < math.inf)).all():

@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cloudpricing.deadline as deadline
@@ -542,6 +543,106 @@ def test_loose_centering_keeps_the_repair_scale(monkeypatch):
     monkeypatch.setattr(optimizer, "CENTERING_DECREMENT", 0.0)
     tight = solve_horizon(spec, 2.0)
     assert loose.price_scale == pytest.approx(tight.price_scale, rel=1e-9, abs=0.0)
+
+
+class TestRepairSystem:
+    """The repair's barrier is strictly convex, so each Newton solve is one
+    equilibrated LU, with no definiteness test."""
+
+    @pytest.mark.parametrize("powers", ["market", "one"])
+    def test_one_lu_per_solve_and_no_cholesky(self, monkeypatch, powers):
+        system = slack_horizon(8, 3)._schedule_system
+        p = system.powers if powers == "market" else np.ones_like(system.powers)
+        calls = {"cholesky": 0, "solve": 0}
+        for name in calls:
+            function = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _function=function, **kwargs):
+                calls[_name] += 1
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        directions = []  # the ridges each direction tried, and its LU count
+        repair_solve = deadline._RepairSystem.solve
+
+        def recording_solve(self, rhs, tau):
+            directions[-1][0].append(tau)
+            return repair_solve(self, rhs, tau)
+
+        def direction(system, grad):
+            directions.append(([], calls["solve"]))
+            result = newton_direction(system, grad)
+            taus, before = directions[-1]
+            directions[-1] = (taus, calls["solve"] - before)
+            return result
+
+        newton_direction = optimizer._newton_direction
+        monkeypatch.setattr(deadline._RepairSystem, "solve", recording_solve)
+        monkeypatch.setattr(optimizer, "_newton_direction", direction)
+        repair = system.max_scale(3.0 * system.counts, p)
+        assert repair.converged and directions
+        assert calls["cholesky"] == 0
+        assert calls["solve"] == sum(len(taus) for taus, _ in directions)
+        for taus, lu_solves in directions:
+            assert lu_solves == len(taus)  # one per try: the first unridged, the rest ridged
+            assert taus[0] == 0.0 and all(tau > 0.0 for tau in taus[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=small_horizons(),
+        seed=st.integers(0, 2**32 - 1),
+        ridge=st.sampled_from([0.0, 1e-10, 1e-4, 1.0]),
+    )
+    def test_solve_matches_the_assembled_matrix(self, case, seed, ridge):
+        spec, demands = case
+        masses = np.concatenate([np.asarray(row, dtype=float) for row in demands])
+        assume(masses.any())
+        captured = []
+
+        class Recording(deadline._RepairSystem):
+            def __init__(self, matrix, reach):
+                captured.append(matrix.copy())
+                super().__init__(matrix, reach)
+                captured.append(self)
+
+        with mock.patch.object(deadline, "_RepairSystem", Recording):
+            spec._schedule_system.max_scale(masses, np.ones_like(masses))
+        rng = np.random.default_rng(seed)
+        # the first steps of the path, whose systems are well-conditioned once
+        # Jacobi-scaled; the start's always is (condition number about 2 to 5)
+        first = list(zip(captured[::2], captured[1::2]))[:4]
+        assert np.linalg.cond(first[0][1].matrix) <= 1e4
+        for hess, system in first:
+            if np.linalg.cond(system.matrix) > 1e4:
+                continue
+            tau = ridge * system.scale
+            rhs = rng.normal(size=hess.shape[0])
+            expected = np.linalg.solve(hess + tau * np.eye(hess.shape[0]), rhs)
+            got = system.solve(rhs, tau)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("capacity", [1e-300, 1e-150, 1e200, 1e300])
+    def test_verdict_at_any_mass_scale(self, capacity):
+        # masses are solved in a unit of their own, so one interval of
+        # capacity c schedules 0.5 c with room for twice as much and fits
+        # two thirds of 1.5 c, at any c
+        market = Instance(
+            resources=ResourceModel(names=("r",), capacities=(capacity,)),
+            user_types=(UserType("a", 1, (1.0,), UtilityParams(alpha=0.5, c=1.0)),),
+            discount=1.0,
+        )
+        spec = IntervalDemandSpec(horizon=1, intervals=(IntervalMarket(market, deadlines=(1,)),))
+        for share, feasible, v in [(0.5, True, 2.0), (1.5, False, 2.0 / 3.0)]:
+            ok, answer = schedule_feasible([[share * capacity]], spec)
+            assert ok == feasible
+            repair = spec._schedule_system.max_scale(np.array([share * capacity]), np.ones(1))
+            assert repair.converged
+            assert repair.v == pytest.approx(v, rel=1e-9)
+            if ok:
+                assert answer.delivered(0, 1) >= share * capacity * (1.0 - 1e-9)
+                assert answer.interval_usage(spec, 1)[0] <= capacity
+            else:
+                assert "misses deadline" in str(answer)
 
 
 def highs_schedulable(spec: IntervalDemandSpec, masses) -> bool:

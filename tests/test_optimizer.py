@@ -1353,6 +1353,34 @@ class TestCertifiedFace:
         assert result.converged and result.iterations > 0
         assert abs(result.objective_value) < 1e-20 * abs(max(face_values(instance, spec)))
 
+    def test_face_whose_unpaid_multiplier_rounds_to_zero(self):
+        # one type pays both prices through one per-job cost, so the unpaid
+        # price's multiplier is 0 in exact arithmetic and rounds to either
+        # sign; a ladder from the default start reports convergence 29x below
+        instance = instance_from_json(
+            {
+                "resources": [
+                    {"name": "r0", "capacity": 3.925816158532516e-249},
+                    {"name": "r1", "capacity": 9.047216675002646e-248},
+                ],
+                "user_types": [
+                    {
+                        "label": "t0",
+                        "count": 1,
+                        "alpha": 0.7440925507835966,
+                        "c": 356.0702736974192,
+                        "requirements": [3.2335344631441677e-245, 3.3121086308477154e-245],
+                    }
+                ],
+                "gamma": 0.701629598457473,
+            }
+        )
+        spec = ObjectiveSpec(0.0, 20.0)
+        result = barrier_optimize(instance, "resource", spec)
+        bundled = barrier_optimize(instance, "bundled", spec).objective_value
+        assert (result.iterations, result.converged) == (0, True)
+        assert result.objective_value >= bundled - 1e-6 * abs(bundled)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1813,7 +1841,7 @@ class TestTangentStepBound:
         oracle = {}
 
         def capture(value_of, derivatives_of, point, *rest):
-            oracle.update(value=value_of, derivatives=derivatives_of)
+            oracle.update(value=value_of, derivatives=derivatives_of, start=point)
             return point, 0, math.inf, "not solved"
 
         with mock.patch.object(deadline, "_barrier_path", capture):
@@ -1830,7 +1858,12 @@ class TestTangentStepBound:
         cohort = (np.cumsum(live) - 1)[system.cohort_of[columns]]
         delivered = np.bincount(cohort, weights=x)
         v = np.min((delivered / demands[live]) ** (1.0 / p[live]))
-        z = np.append(x, v * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0)))
+        # the oracle measures masses in the power-of-two unit that puts its
+        # start at half the fullest row
+        drawn = system.A_le[:, columns].sum(axis=1)
+        unit = 0.5 * np.min(system.b_le[used] / drawn[used]) / oracle["start"][0]
+        assert unit == 2.0 ** round(math.log2(unit))
+        z = np.append(x / unit, v * (1.0 - 10.0 ** -rng.uniform(0.0, 12.0)))
         t = 10.0 ** rng.uniform(-2.0, 8.0)
         assume(oracle["value"](z, t) < math.inf)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
