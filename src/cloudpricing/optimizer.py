@@ -63,7 +63,7 @@ from .fairness import LOG_DOMAIN_BETA, _check_beta, _power_fairness, beta_fairne
 from .pricing import (
     BundledPlan,
     DifferentiatedPlan,
-    FEASIBILITY_ATOL,
+    FEASIBILITY_RTOL,
     Instance,
     Outcome,
     PricingPlan,
@@ -291,7 +291,7 @@ class _PriceProblem:
         used = self.G @ self.kernel.demand(self.costs(prices))
         return float((used / self.limits).max())
 
-    def level_for_load(self, target: float, base=None, guess: float = 1.0):
+    def level_for_load(self, target: float, base=None, guess: float = 1.0) -> float:
         """Smallest multiple of ``base`` (uniform prices by default) whose load is ``target``.
 
         With ``c = costs(base)`` the load at scale ``e**x`` is ``max_i sum_j
@@ -310,20 +310,16 @@ class _PriceProblem:
         return _bisect_load(lambda scale: self.load(scale * base), target, root)
 
     def own_costs(self, targets: np.ndarray) -> np.ndarray:
-        """Lowest per-job cost at which each type alone loads a row to its target.
+        """Per-job cost at which each type alone loads a row to its target.
 
         A type's own load is the single power law ``k_j max_i(G_ij /
-        limits_i) r**e_j``, so each cost has a closed form, finished to the
-        exact float by :func:`_bisect_load`.
+        limits_i) r**e_j``, so each cost has the closed form ``exp((log t_j
+        - max_i log(G_ij / limits_i) - log k_j) / e_j)``, within the
+        rounding of its logarithms; a cost beyond float range is ``inf``.
         """
-
-        def own_loads(costs: np.ndarray) -> np.ndarray:
-            used = self.G * self.kernel.demand(costs)
-            return (used / self.limits[:, None]).max(axis=0)
-
         shares = self.log_shares.max(axis=0)
-        roots = (np.log(targets) - shares - self.kernel.log_k) / self.kernel.e
-        return _bisect_load(own_loads, targets, roots)
+        with np.errstate(over="ignore"):
+            return np.exp((np.log(targets) - shares - self.kernel.log_k) / self.kernel.e)
 
     def objective_value(self, spec: ObjectiveSpec, costs: np.ndarray) -> float:
         """``nu * revenue + F_beta`` at the costs, ``-inf`` unless every net
@@ -410,82 +406,82 @@ def _log_load_root(log_a: np.ndarray, slopes: np.ndarray, target: float, x: floa
     return math.nan
 
 
-def _bisect_load(load, target, log_root=math.nan):
-    """Smallest scales with load(scale) <= target, elementwise.
+def _bisect_load(load, target: float, log_root: float = math.nan) -> float:
+    """Smallest scale with load(scale) <= target.
 
-    ``load`` maps an array of scales to as many loads, each strictly
-    decreasing in its own scale; at tiny scales demand overflows, or costs
-    round to zero and demand is infinite, which does no harm.
-    The bracket starts ``16 (1 + |log_root|)`` ulps either side of
-    ``exp(log_root)``, which covers the rounding of a log-domain root, or
-    at scale one where ``exp(log_root)`` is not a finite positive float.
-    It widens geometrically by up to 4**300 each way until ``load(lo) >
-    target > load(hi)``; then halvings of its log-width pin each scale to
-    float resolution.  Each midpoint is ``sqrt(lo * hi)``, formed without
-    overflow or underflow.  The halvings stop once every midpoint rounds
-    to an end of its bracket, since later halvings would leave every
-    bracket as it is, and after 96 at most.  Where the float load crosses
-    the target once, every bracket ends on the same float.
+    ``load`` maps a scale to a load, strictly decreasing in it; at tiny
+    scales demand overflows, or costs round to zero and demand is
+    infinite, which does no harm.  The bracket starts ``16 (1 +
+    |log_root|)`` ulps either side of ``exp(log_root)``, which covers the
+    rounding of a log-domain root, or at scale one where ``exp(log_root)``
+    is not a finite positive float.  It widens geometrically by up to
+    4**300 each way until ``load(lo) > target > load(hi)``; then halvings
+    of its log-width pin the scale to float resolution.  Each midpoint is
+    ``sqrt(lo * hi)``, formed without overflow or underflow.  The halvings
+    stop once the midpoint rounds to an end of the bracket, since later
+    halvings would leave it as it is, and after 96 at most.  Where the
+    float load crosses the target once, every bracket ends on the same
+    float.
     """
-    target = np.asarray(target, dtype=float)
-    with np.errstate(over="ignore"):
-        guess = np.exp(log_root) * np.ones_like(target)
-    near = (guess > 0.0) & (guess < math.inf)  # false for nan
-    guess = np.where(near, guess, 1.0)
-    width = np.where(near, 16.0 * np.finfo(float).eps * (1.0 + np.abs(log_root)), 0.0)
+    try:
+        guess = math.exp(log_root)
+    except OverflowError:
+        guess = math.inf
+    if 0.0 < guess < math.inf:  # false for nan
+        width = 16.0 * 2.0**-52 * (1.0 + abs(log_root))
+    else:
+        guess, width = 1.0, 0.0
     lo, hi = guess * (1.0 - width), guess * (1.0 + width)
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(300):
-            low = ~(load(lo) > target)
-            if not low.any():
+            if load(lo) > target:
                 break
-            lo = np.where(low, lo / 4.0, lo)
+            lo /= 4.0
         else:
             raise InfeasibleError("demand never reaches capacity at any positive price")
         for _ in range(300):
-            high = ~(load(hi) < target)
-            if not high.any():
+            if load(hi) < target:
                 break
-            hi = np.where(high, hi * 4.0, hi)
+            hi *= 4.0
         else:
             raise InfeasibleError("no price high enough to fit demand inside capacity")
         for _ in range(96):
             # sqrt(lo * hi) with both ends scaled by a power of two, so the
             # product stays a normal float and the rounding is unchanged
-            k = np.frexp(hi)[1]
-            mid = np.ldexp(np.sqrt(np.ldexp(lo, -k) * np.ldexp(hi, -k)), k)
-            if ((mid == lo) | (mid == hi)).all():
+            k = math.frexp(hi)[1]
+            mid = math.ldexp(math.sqrt(math.ldexp(lo, -k) * math.ldexp(hi, -k)), k)
+            if mid == lo or mid == hi:
                 break
-            above = load(mid) > target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+            if load(mid) > target:
+                lo = mid
+            else:
+                hi = mid
     return hi
 
 
 def _feasible_start(problem: _PriceProblem, spec: ObjectiveSpec) -> np.ndarray:
     """Strictly feasible prices with the binding usage ratio near one half.
 
-    Bundled and resource plans start at the uniform price level of the
-    target load.  Differentiated prices are set per type so each carries an
+    Every start is a price level times a base, found by one level search
+    from the level before it.  Bundled and resource plans take uniform
+    prices as their base.  A differentiated plan's base gives each type an
     equal slice of its own binding resource (:meth:`_PriceProblem.own_costs`),
-    then scaled to the target load: a uniform start can leave a type's
-    demand negligible, and its flat objective coordinate then drifts on the
-    barrier instead of optimizing.  Each level search after the first starts
-    from the level before it.  When positive net utilities, or an
-    objective inside the float range (``F_beta`` of tiny utilities at large
-    ``beta`` is not), require lower prices than the half-capacity point
-    allows, the target is relaxed toward the boundary: the start is the
-    first target whose objective is finite.
+    which the level then scales to the target load: a uniform start can
+    leave a type's demand negligible, and its flat objective coordinate
+    then drifts on the barrier instead of optimizing.  When positive net
+    utilities, or an objective inside the float range (``F_beta`` of tiny
+    utilities at large ``beta`` is not), require lower prices than the
+    half-capacity point allows, the target is relaxed toward the boundary:
+    the start is the first target whose objective is finite.
     """
     level = 1.0
     for target in (0.5, 0.8, 0.95, 0.99):
         if problem.kind == "differentiated":
             base = problem.own_costs(np.full(problem.dim, target / problem.dim))
-            level = problem.level_for_load(target, base, level)
-            start = level * base
         else:
-            level = problem.level_for_load(target, guess=level)
-            start = np.full(problem.dim, level)
+            base = np.ones(problem.dim)
+        level = problem.level_for_load(target, base, level)
+        start = level * base
         if math.isfinite(problem.objective_value(spec, problem.costs(start))):
             return start
     raise _no_finite_objective(spec)
@@ -860,7 +856,8 @@ def barrier_optimize(
     the next start of :func:`_start_candidates`; when every one stalls, the
     result is the best stalled one, non-converged and carrying diagnostics
     rather than an exception.  An empty feasible interior raises
-    :class:`InfeasibleError`.
+    :class:`InfeasibleError`, and so does a market where no start lands
+    inside the barrier's domain.
 
     ``start`` (positive prices of this plan, such as a neighbouring
     market's optimum) is tried first, scaled to load the binding capacity
@@ -891,6 +888,8 @@ def barrier_optimize(
                 best = result
             if result.converged:  # later candidates exist only to escape stalls
                 break
+        if best is None:
+            raise InfeasibleError("no start lies inside the barrier's domain")
 
     plan = problem.make_plan(best.prices)
     return SolveResult(
@@ -966,7 +965,7 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
     if not (0.0 < lam < math.inf and ((mu >= -rounding) & (mu < math.inf)).all()):
         return None
     largest = problem.D.max(axis=0)  # a price no type pays posts at inf, declined below
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         base = face(k, FACE_UNPAID_SHARE * largest[k] / largest)
     if not ((base > 0.0) & (base < math.inf)).all():
         return None
@@ -980,7 +979,8 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
 
 def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarray):
     """Best point of a two-decade grid, strictly inside capacity since it starts a ladder."""
-    axes = [np.geomspace(p / 30.0, p * 30.0, 14) for p in around]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed cells are invalid points
+        axes = [np.geomspace(p / 30.0, p * 30.0, 14) for p in around]
     prices, value = _grid_search(problem, spec, axes, np.nextafter(problem.limits, 0.0))
     return prices if math.isfinite(value) else None
 
@@ -1183,7 +1183,7 @@ def grid_oracle(
     total = int(np.prod([a.size for a in axes]))
     if total == 0:
         raise ValueError("empty grid")
-    prices, value = _grid_search(problem, spec, axes, problem.limits + FEASIBILITY_ATOL)
+    prices, value = _grid_search(problem, spec, axes, problem.limits * (1.0 + FEASIBILITY_RTOL))
     if not math.isfinite(value):
         raise ValueError("no feasible grid point with positive net utilities")
     plan = problem.make_plan(prices)

@@ -55,8 +55,9 @@ __all__ = [
     "save_instance",
 ]
 
-#: Absolute slack allowed when comparing usage against capacity.
-FEASIBILITY_ATOL = 1e-9
+#: Slack allowed when comparing usage against capacity, relative to each
+#: row's limit, so that it is the same share of capacity in any units.
+FEASIBILITY_RTOL = 1e-9
 
 #: The pricing plans, in the order the command line lists them.
 PLAN_KINDS = ("bundled", "resource", "differentiated")
@@ -350,7 +351,7 @@ def evaluate(instance: Instance, plan: PricingPlan) -> Outcome:
         revenue=float(np.sum(kernel.bill(costs, counts))),
         usage=usage,
         leftover=instance.resources.capacities - usage,
-        feasible=bool(np.all(G @ demands <= limits + FEASIBILITY_ATOL)),
+        feasible=bool(np.all(G @ demands <= limits * (1.0 + FEASIBILITY_RTOL))),
     )
 
 

@@ -847,41 +847,51 @@ class TestOracleMatchesReference:
     def test_bisection_stops_where_the_halvings_stop_moving(
         self, seed, n, m, log_types, kind, log_target
     ):
-        # the level and the differentiated start's per-type costs are floats
-        # where the load crosses its target, and raise only where no price
-        # is found; within e**±300 they are the floats the bisection from
-        # scale one returns, and far targets put roots beyond its reach
+        # the level is the float where the load crosses its target, and
+        # raises only where no price is found; within e**±300 it is the
+        # float the bisection from scale one returns, and far targets put
+        # roots beyond its reach
         instance, rng = self.market(seed, n, m, log_types)
         problem = _PriceProblem(instance, kind)
         base = np.exp(rng.uniform(-3.0, 3.0, problem.dim))
         target = math.exp(log_target)
 
-        def own_loads(prices):
-            return np.max(problem.G * problem.kernel.demand(prices) / problem.limits[:, None], 0)
+        def load(scale):
+            return problem.load(scale * base)
 
-        targets = target * rng.uniform(1e-3, 1.0, n)
-        searches = (
-            (lambda: problem.level_for_load(target, base),
-             lambda scale: problem.load(scale * base), target),
-            (lambda: problem.own_costs(targets), own_loads, targets),
-        )
-        for search, load, goal in searches:
-            with np.errstate(over="ignore", divide="ignore"):
-                try:
-                    expected = reference_bisect_load(load, goal)
-                except InfeasibleError as err:
-                    expected = err
+        with np.errstate(over="ignore", divide="ignore"):
             try:
-                found = search()
+                expected = reference_bisect_load(load, target)
             except InfeasibleError as err:
-                assert str(err) == str(expected)
-                continue
-            with np.errstate(over="ignore", divide="ignore"):
-                assert np.all(load(found) <= goal)
-                assert np.all(load(np.nextafter(found, 0.0)) > goal)
-                if not isinstance(expected, InfeasibleError):
-                    near = np.abs(np.log(expected)) <= 300.0
-                    assert np.array_equal(found[near], expected[near])
+                expected = err
+        try:
+            found = np.asarray(problem.level_for_load(target, base))
+        except InfeasibleError as err:
+            assert str(err) == str(expected)
+            return
+        with np.errstate(over="ignore", divide="ignore"):
+            assert load(found) <= target
+            assert load(np.nextafter(found, 0.0)) > target
+            if not isinstance(expected, InfeasibleError):
+                near = np.abs(np.log(expected)) <= 300.0
+                assert np.array_equal(found[near], expected[near])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        m=st.integers(1, 3),
+        log_target=st.floats(-20.0, 0.7),
+    )
+    def test_own_costs_load_each_type_to_its_target(self, seed, n, m, log_target):
+        # each type's own load is one power law, so its closed-form cost
+        # meets the target within the rounding of its logarithms
+        rng = np.random.default_rng(seed)
+        problem = _PriceProblem(random_instance(rng, m=m, n=n), "differentiated")
+        targets = math.exp(log_target) * rng.uniform(1e-3, 1.0, n)
+        costs = problem.own_costs(targets)
+        own_loads = np.max(problem.G * problem.kernel.demand(costs) / problem.limits[:, None], 0)
+        np.testing.assert_allclose(own_loads, targets, rtol=1e-12, atol=0.0)
 
     def test_level_search_reads_a_quarter_of_the_bisections_loads(self, monkeypatch):
         # exact load evaluations are counted, not timed, so the bound repeats
@@ -1922,3 +1932,100 @@ class TestTangentStepBound:
             assert [r.iterations for r in result.interval_results] == [
                 r.iterations for r in reference.interval_results
             ]
+
+
+#: markets of the extreme-market fuzz that each once ended in a traceback
+FUZZ_EXAMPLES = (
+    # no type needs the gpu: the certified face's unpaid share divided by zero
+    ({"resources": [{"name": "cpu", "capacity": 4.0}, {"name": "gpu", "capacity": 1.0}],
+      "user_types": [{"label": "a", "count": 2, "alpha": 0.6, "c": 1.0,
+                      "requirements": [1.0, 0.0]}],
+      "gamma": 0.6}, 0.0, 2.0),
+    # prices near 1e307: the coarse probe's grid overflowed
+    ({"resources": [{"name": "r0", "capacity": 1.0}],
+      "user_types": [{"label": "a", "count": 1, "alpha": 1.0, "c": 1e307,
+                      "requirements": [0.01]}],
+      "gamma": 1.0}, 1.0, 2.0),
+    # demand jumps from inside capacity to overflow within one ulp of price
+    ({"resources": [{"name": "r0", "capacity": 6.463893766788678e-87},
+                    {"name": "r1", "capacity": 9.753365971949011e-90},
+                    {"name": "r2", "capacity": 3.0186365849064936e-87}],
+      "user_types": [{"label": "t0", "count": 34, "alpha": 0.27118211292057964,
+                      "c": 0.04713218889299905,
+                      "requirements": [1.134125177252514e-86, 7.723990965406613e-87,
+                                       1.2541893430437028e-90]}],
+      "gamma": 0.7325106044618891}, 0.0, 20.0),
+)
+
+
+@st.composite
+def extreme_markets(draw):
+    """One draw of the extreme-market fuzz, as JSON: m in 1–3 and n in 1–4;
+    capacities and requirements 10**U(-3, 3) times one common scale
+    10**U(-250, 250), a fifth of requirements zero; alpha U(0.02, 0.98) or
+    1 in nine draws of ten, else U(0.001, 0.02); c 10**U(-3, 3), counts
+    1–99 and a discount U(0.5, 1).  Many draws are not valid markets."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    log_scale = draw(st.floats(-250.0, 250.0))
+
+    def magnitude():
+        return 10.0 ** (log_scale + draw(st.floats(-3.0, 3.0)))
+
+    def requirement():
+        zero = draw(st.sampled_from([False] * 4 + [True]))  # shrinks toward a nonzero one
+        return 0.0 if zero else magnitude()
+
+    alphas = st.one_of(*[st.floats(0.02, 0.98)] * 8, st.just(1.0), st.floats(0.001, 0.02))
+    resources = [{"name": f"r{i}", "capacity": magnitude()} for i in range(m)]
+    types = [
+        {"label": f"t{j}", "count": draw(st.integers(1, 99)), "alpha": draw(alphas),
+         "c": 10.0 ** draw(st.floats(-3.0, 3.0)),
+         "requirements": [requirement() for _ in range(m)]}
+        for j in range(n)
+    ]
+    return {"resources": resources, "user_types": types, "gamma": draw(st.floats(0.5, 1.0))}
+
+
+class TestExtremeMarkets:
+    """Markets at the edges of float range solve, stall or raise a typed error."""
+
+    @staticmethod
+    def example_market(index):
+        market, nu, beta = FUZZ_EXAMPLES[index]
+        return instance_from_json(market), ObjectiveSpec(nu, beta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        market=extreme_markets(),
+        nu=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+        beta=st.sampled_from([0.5, 2.0, 20.0]),
+    )
+    @example(*FUZZ_EXAMPLES[0])
+    @example(*FUZZ_EXAMPLES[1])
+    @example(*FUZZ_EXAMPLES[2])
+    def test_every_plan_returns_a_result_or_a_typed_error(self, market, nu, beta):
+        # no plan ordering is asserted: tiny objectives still break them
+        for kind in ("bundled", "resource", "differentiated"):
+            try:
+                result = barrier_optimize(instance_from_json(market), kind, ObjectiveSpec(nu, beta))
+            except ValueError:  # an invalid market, or InfeasibleError
+                continue
+            prices = result.plan.prices
+            assert np.all((prices > 0.0) & (prices < math.inf))
+            assert math.isfinite(result.objective_value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_resource_no_type_needs_declines_its_face(self):
+        # the gpu's unpaid price would post at inf, so the ladder decides
+        instance, spec = self.example_market(0)
+        result = barrier_optimize(instance, "resource", spec)
+        differentiated = barrier_optimize(instance, "differentiated", spec)
+        assert result.converged and result.iterations > 0
+        assert result.objective_value == pytest.approx(-1.81886, rel=1e-5)
+        assert result.objective_value == pytest.approx(differentiated.objective_value, rel=1e-6)
+
+    def test_no_start_inside_the_domain_is_a_typed_error(self):
+        instance, spec = self.example_market(2)
+        with pytest.raises(InfeasibleError, match="no start lies inside the barrier's domain"):
+            barrier_optimize(instance, "differentiated", spec)

@@ -11,6 +11,7 @@ from cloudpricing import (
     BundledPlan,
     DifferentiatedPlan,
     Instance,
+    ObjectiveSpec,
     ResourceModel,
     ResourcePlan,
     UserType,
@@ -22,13 +23,14 @@ from cloudpricing import (
     instance_to_json,
     lift_resource_to_differentiated,
     load_instance,
+    objective,
     optimal_demand,
     per_job_cost,
     save_instance,
 )
 from cloudpricing.demand import NetUtilityKernel
 from cloudpricing.optimizer import _PriceProblem
-from cloudpricing.pricing import FEASIBILITY_ATOL, PLAN_KINDS, plan_structure
+from cloudpricing.pricing import FEASIBILITY_RTOL, PLAN_KINDS, plan_structure
 from cloudpricing.synth import google_cluster_instance, random_instance, sample_feasible_prices
 
 
@@ -99,7 +101,7 @@ class TestPlanStructure:
         out = evaluate(instance, plan)
         assert np.array_equal(out.per_job_costs, problem.costs(prices))
         _, G, limits = plan_structure(instance, kind, bundle)
-        assert out.feasible == bool(np.all(G @ out.demands <= limits + FEASIBILITY_ATOL))
+        assert out.feasible == bool(np.all(G @ out.demands <= limits * (1.0 + FEASIBILITY_RTOL)))
 
     def test_rejects_unknown_kind(self, reference_instance):
         with pytest.raises(ValueError, match="plan kind must be one of"):
@@ -159,6 +161,23 @@ class TestEvaluate:
                     )
                 )
                 assert out.revenue == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1e-20, 1.0, 1e20])
+    def test_feasibility_slack_is_a_share_of_capacity(self, k):
+        # the toy market in resource units scaled by k: the same per-job
+        # costs fill capacity at price 0.5 and use four times it at 0.25
+        instance = Instance(
+            resources=ResourceModel(names=("r",), capacities=(4.0 * k,)),
+            user_types=(UserType("a", 1, (k,), UtilityParams(alpha=0.5, c=1.0)),),
+            discount=1.0,
+        )
+        assert evaluate(instance, ResourcePlan(prices=np.array([0.5 / k]))).feasible
+        over = ResourcePlan(prices=np.array([0.25 / k]))
+        out = evaluate(instance, over)
+        assert out.usage[0] == pytest.approx(16.0 * k)
+        assert not out.feasible
+        with pytest.raises(ValueError, match="plan infeasible"):
+            objective(instance, over, ObjectiveSpec(1.0, 2.0))
 
     def test_bundled_feasibility_uses_bundle_count(self, toy_instance):
         plan = BundledPlan(bundle=np.array([1.0]), price=0.49)
