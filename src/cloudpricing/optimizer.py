@@ -8,10 +8,11 @@ Hessians are assembled analytically from that structure.
 
 A bundled plan has one price, and its optimum is the lowest price that
 fills the bundles for every weight (:func:`bundled_price_bisection`), so it
-is solved in closed form.  So is a resource plan whose objective the
-concavity certificate covers, when KKT proves its optimum at a face that
-prices one resource.  Otherwise plans use a log-barrier interior-point
-method: minimize
+is solved in closed form.  So are the plans whose objective the
+concavity certificate covers, where KKT proves the optimum: a resource
+plan's at a face that prices one resource, and a differentiated plan's at
+``nu = 0`` where one capacity row binds.  Otherwise plans use a
+log-barrier interior-point method: minimize
 
     f_t(p) = -t * objective(p) - sum_i log(slack_i(p))
 
@@ -147,7 +148,9 @@ class SolveResult:
     solve is closed-form: its ``iterations`` and ``gap`` are 0.  So is a
     resource solve that KKT proves optimal at a one-price face
     (:func:`_certified_face`): its ``iterations`` are 0, and its ``gap`` is
-    the objective lost to posting the unpaid prices small but positive.
+    the objective lost to posting the unpaid prices small but positive;
+    and a differentiated solve that KKT proves optimal with one binding row
+    (:func:`_certified_row`), whose ``iterations`` and ``gap`` are 0.
     """
 
     plan: PricingPlan
@@ -260,9 +263,11 @@ class _PriceProblem:
         """The powers of two that :meth:`point` measures prices in: one over
         each price's largest entry of ``D``, times the level at which those
         prices fill the binding row (as :meth:`level_for_load` finds it), so
-        that points are near one in any resource units."""
-        with np.errstate(divide="ignore"):  # a price no type pays keeps unit 1
-            unit = np.exp2(-np.round(np.nan_to_num(np.log2(self.D.max(axis=0)), neginf=0.0)))
+        that points are near one in any resource units.  A price that no type
+        pays takes the unit of the price with the largest entry."""
+        with np.errstate(divide="ignore"):
+            logs = np.log2(self.D.max(axis=0))
+            unit = np.exp2(-np.round(np.where(logs > -math.inf, logs, logs.max())))
             log_a = self.log_shares + (self.kernel.log_k + self.kernel.e * np.log(self.costs(unit)))
         level = _log_load_root(log_a, self.kernel.e, 1.0) / math.log(2.0)
         return unit * 2.0 ** round(level) if math.isfinite(level) else unit
@@ -845,9 +850,16 @@ def barrier_optimize(
     :func:`concavity_weight_bound` certifies the objective concave (``beta
     > 1`` and ``0 <= nu <= bound``, with ``bound > 0``): when KKT proves
     the best face optimal, the solve returns it with ``iterations=0``,
-    running no ladder (:func:`_certified_face`).  Without a certificate a
-    face that meets the same conditions may be only a local optimum, so
-    every other solve runs its ladders.
+    running no ladder (:func:`_certified_face`).  Under the same
+    certificate a differentiated solve at ``nu = 0`` is a convex program
+    whose stationarity, with one binding row, is one power law per type:
+    when one row's multiplier gives a point that loads every other row
+    below it, that point is the global optimum, and the solve returns it
+    with ``iterations=0`` and ``gap=0.0`` (:func:`_certified_row`).  A
+    revenue weight above 0, a binding row that some type does not need, a
+    tie or two binding rows leave the ladders to decide.  Without a
+    certificate a point that meets the same conditions may be only a local
+    optimum, so every other solve runs its ladders.
 
     Other plans start from a strictly feasible price vector found
     internally, then run the log-barrier method with damped Newton inner
@@ -878,8 +890,11 @@ def barrier_optimize(
         if not math.isfinite(value):
             raise _no_finite_objective(spec)
         best = _LadderResult(prices, 0, value, 0.0, True, "")
-    elif problem.kind == "resource":
-        best = _certified_face(instance, problem, spec, tolerance)
+    elif _certified_concave(instance, spec):
+        if problem.kind == "resource":
+            best = _certified_face(problem, spec, tolerance)
+        else:
+            best = _certified_row(problem, spec)
     if best is None:
         for prices in _start_candidates(problem, spec, start):
             result = _barrier_ladder(problem, spec, tolerance, prices)
@@ -907,15 +922,21 @@ FACE_UNPAID_SHARE = 2.0**-40
 FACE_TIE_RTOL = 1e-9
 
 
-def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveSpec, tolerance):
+def _certified_concave(instance: Instance, spec: ObjectiveSpec) -> bool:
+    """Whether :func:`concavity_weight_bound` certifies the objective
+    concave: ``beta > 1`` and ``0 <= nu <= bound``, where a bound of 0
+    certifies nothing, not even ``nu = 0``."""
+    return spec.beta > 1.0 and 0.0 < concavity_weight_bound(instance, spec.beta) >= spec.nu
+
+
+def _certified_face(problem: _PriceProblem, spec: ObjectiveSpec, tolerance):
     """A resource optimum proved at a one-price face, or ``None``.
 
     A face prices one resource ``k`` and leaves the others at zero; it is
     feasible when every type needs ``k``, and as for the bundled plan its
-    optimum is the lowest price that fills the binding row.  Where
-    :func:`concavity_weight_bound` certifies the objective concave
-    (``beta > 1``, ``0 <= nu <= bound``; a bound of 0 certifies nothing), the
-    KKT conditions at the best face prove it the global optimum (Boyd &
+    optimum is the lowest price that fills the binding row.  Called only
+    where :func:`_certified_concave` holds, so the objective is concave and
+    the KKT conditions at the best face prove it the global optimum (Boyd &
     Vandenberghe, *Convex Optimization*, §5.5.3): with one binding row
     ``g``, ``λ = ∂f/∂z_k / ∂g/∂z_k`` is positive and every unpaid price's
     multiplier ``μ_i = λ ∂g/∂z_i − ∂f/∂z_i`` is nonnegative, both formed
@@ -923,15 +944,12 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
     :attr:`_PriceProblem.unit`; a ``μ_i`` within 4 ulps of its terms below
     zero counts as zero (one type's unpaid multipliers are all zero).
     The face is posted with its unpaid prices at :data:`FACE_UNPAID_SHARE`
-    of the paid one, each measured by its largest entry of ``D``, and
-    re-levelled to load 1; ``gap`` is the objective lost to that, relative
-    to the face's value.  Without a certificate, at a tie of rows, where
-    the conditions fail, or where that loss exceeds ``tolerance``, the
-    ladders decide.
+    of the paid one, each measured by its largest entry of ``D`` (a price
+    no type pays at the share itself), and re-levelled to load 1; ``gap``
+    is the objective lost to that, relative to the face's value.  At a tie
+    of rows, where the conditions fail, or where that loss exceeds
+    ``tolerance``, the ladders decide.
     """
-    if not (spec.beta > 1.0 and 0.0 < concavity_weight_bound(instance, spec.beta) >= spec.nu):
-        return None
-
     def face(k, unpaid=0.0):  # one price unit of resource k, and `unpaid` units of k elsewhere
         return problem.unit[k] * np.where(np.arange(problem.dim) == k, 1.0, unpaid)
 
@@ -964,9 +982,10 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
         return None
     if not (0.0 < lam < math.inf and ((mu >= -rounding) & (mu < math.inf)).all()):
         return None
-    largest = problem.D.max(axis=0)  # a price no type pays posts at inf, declined below
-    with np.errstate(over="ignore", divide="ignore"):
-        base = face(k, FACE_UNPAID_SHARE * largest[k] / largest)
+    largest = problem.D.max(axis=0)  # a price no type pays posts at the share itself
+    with np.errstate(over="ignore"):
+        ratio = np.divide(largest[k], largest, out=np.ones(problem.dim), where=largest > 0.0)
+        base = face(k, FACE_UNPAID_SHARE * ratio)
     if not ((base > 0.0) & (base < math.inf)).all():
         return None
     prices = problem.level_for_load(1.0, base, level) * base
@@ -975,6 +994,66 @@ def _certified_face(instance: Instance, problem: _PriceProblem, spec: ObjectiveS
     if not gap <= tolerance:
         return None
     return _LadderResult(prices, 0, posted, gap, True, "")
+
+
+def _certified_row(problem: _PriceProblem, spec: ObjectiveSpec):
+    """A differentiated optimum at ``nu = 0`` proved with one binding row, or ``None``.
+
+    Called only where :func:`_certified_concave` holds.  Then each type's
+    term of ``F_beta`` is concave in its own cost, and each capacity row
+    ``G x(r) <= limits`` is convex, so a KKT point is the global optimum
+    (Boyd & Vandenberghe, *Convex Optimization*, §5.5.3).  With surplus
+    ``u_j = s_j r_j**q_j`` (``s_j q_j = -A_j``) and one binding row ``i``
+    of multiplier ``λ``, each type's stationarity is one power law, ``E_j
+    log r_j = log λ + log G_ij + log(-e_j k_j) - log w_j + β log s_j - log
+    A_j`` with ``E_j = q_j (1 - β) - e_j > 0``.  Every row's load is then a
+    log-sum-exp affine in ``log λ`` with slopes ``e_j / E_j < 0``:
+    :func:`_log_load_root` finds ``log λ`` where row ``i`` loads to one,
+    and :func:`_bisect_load` pins it to the float where that row's exact
+    load crosses one.  Each row that every type needs is tried; the best
+    candidate whose other rows load below ``1 - FACE_TIE_RTOL`` and whose
+    objective is finite is returned.  A revenue weight, a row that some
+    type does not need, a tie or two binding rows leave the ladders to
+    decide.
+    """
+    if spec.nu != 0.0:
+        return None
+    kernel = problem.kernel
+    E = kernel.q * (1.0 - spec.beta) - kernel.e
+    with np.errstate(divide="ignore"):  # a coefficient that underflowed to 0 has no power law
+        per_type = (
+            np.log(-kernel.e) + kernel.log_k - np.log(problem.w)
+            + spec.beta * np.log(kernel.surplus_coef) - np.log(kernel.A)
+        )
+    if not np.isfinite(per_type).all():
+        return None
+    best = None
+    for i in np.nonzero((problem.G > 0.0).all(axis=1))[0]:
+        offset = np.log(problem.G[i]) + per_type  # E log r = log λ + offset
+        log_a = problem.log_shares[i] + kernel.log_k + kernel.e * offset / E
+        log_lam = _log_load_root(log_a[None, :], kernel.e / E, 1.0)
+        with np.errstate(over="ignore"):
+            base = np.exp((log_lam + offset) / E)  # the costs at that λ
+        if not np.all((base > 0.0) & (base < math.inf)):
+            continue
+
+        def costs(scale):  # at λ times scale
+            return base * scale ** (1.0 / E)
+
+        def row_load(scale):
+            return float(problem.G[i] @ kernel.demand(costs(scale))) / problem.limits[i]
+
+        try:
+            prices = costs(_bisect_load(row_load, 1.0, 0.0))
+        except InfeasibleError:
+            continue
+        with np.errstate(over="ignore"):
+            loads = (problem.G @ kernel.demand(prices)) / problem.limits
+        value = problem.objective_value(spec, prices)
+        if np.delete(loads, i).max(initial=0.0) < 1.0 - FACE_TIE_RTOL and math.isfinite(value):
+            if best is None or value > best.value:
+                best = _LadderResult(prices, 0, value, 0.0, True, "")
+    return best
 
 
 def _coarse_probe(problem: _PriceProblem, spec: ObjectiveSpec, around: np.ndarray):

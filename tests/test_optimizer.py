@@ -1429,6 +1429,131 @@ class TestCertifiedFace:
             assert result.objective_value == pytest.approx(base.objective_value, rel=1e-12)
 
 
+def scaled_c(instance, k):
+    """The market with every type's ``c`` multiplied by ``k``: each utility,
+    and so each ``F_beta`` at the same costs, scales by ``k``."""
+    types = tuple(
+        replace(u, utility=replace(u.utility, c=k * u.utility.c)) for u in instance.user_types
+    )
+    return replace(instance, user_types=types)
+
+
+DEGENERATE_FACE_MARKET = {
+    "resources": [
+        {"name": "r0", "capacity": 3.925816158532516e-249},
+        {"name": "r1", "capacity": 9.047216675002646e-248},
+    ],
+    "user_types": [
+        {
+            "label": "t0",
+            "count": 1,
+            "alpha": 0.7440925507835966,
+            "c": 356.0702736974192,
+            "requirements": [3.2335344631441677e-245, 3.3121086308477154e-245],
+        }
+    ],
+    "gamma": 0.701629598457473,
+}
+
+
+def two_type_market(caps, x_needs, y_needs):
+    return Instance(
+        resources=ResourceModel(names=("a", "b"), capacities=caps),
+        user_types=(
+            UserType("x", 1, x_needs, UtilityParams(0.5, 1.0)),
+            UserType("y", 1, y_needs, UtilityParams(0.5, 1.0)),
+        ),
+        discount=1.0,
+    )
+
+
+class TestCertifiedRow:
+    """Where the objective is certified concave at nu 0, one binding row's
+    multiplier prices every type of a differentiated plan."""
+
+    def test_reference_market_closes_at_one_row(self, reference_instance):
+        spec = ObjectiveSpec(0.0, 20.0)
+        result = barrier_optimize(reference_instance, "differentiated", spec)
+        assert (result.iterations, result.converged, result.gap, result.message) == (
+            0, True, 0.0, ""
+        )
+        problem = _PriceProblem(reference_instance, "differentiated")
+        prices = result.plan.prices
+        loads = problem.G @ problem.kernel.demand(prices) / problem.limits
+        assert loads[1] == pytest.approx(1.0, rel=1e-12) and loads[0] < 0.5
+        # stationarity: every type's objective slope is one multiple of its row slope
+        slopes = problem.objective_log_derivatives(spec, prices, 1.0)[0]
+        row = problem.G[1] * problem.kernel.e * problem.kernel.demand(prices)
+        assert slopes / row == pytest.approx(np.full(3, slopes[0] / row[0]), rel=1e-9)
+        ladder = optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
+        assert ladder.iterations > 0
+        assert result.objective_value >= ladder.value - 1e-9 * abs(ladder.value)
+
+    @pytest.mark.parametrize("k", [10.0, 100.0])
+    def test_tiny_objectives_scale_exactly(self, reference_instance, k):
+        # F_beta scales by k**(1 - beta) at the same prices; ladders once
+        # reported convergence at -8.85e-14 and -8.85e-33, far inside capacity
+        spec = ObjectiveSpec(0.0, 20.0)
+        base = barrier_optimize(reference_instance, "differentiated", spec)
+        result = barrier_optimize(scaled_c(reference_instance, k), "differentiated", spec)
+        assert (result.iterations, result.converged) == (0, True)
+        assert result.objective_value == pytest.approx(
+            base.objective_value * k ** (1.0 - spec.beta), rel=1e-9
+        )
+
+    def test_degenerate_face_market_reaches_the_resource_face(self):
+        # a ladder once reported convergence after 0 steps, 29x below the face
+        instance = instance_from_json(DEGENERATE_FACE_MARKET)
+        spec = ObjectiveSpec(0.0, 20.0)
+        face = barrier_optimize(instance, "resource", spec).objective_value
+        result = barrier_optimize(instance, "differentiated", spec)
+        assert (result.iterations, result.converged) == (0, True)
+        assert result.objective_value >= face - 1e-9 * abs(face)
+
+    @pytest.mark.parametrize(
+        "instance, spec",
+        [
+            (google_cluster_instance(), ObjectiveSpec(1e-24, 20.0)),  # nu > 0, certified
+            (google_cluster_instance(), ObjectiveSpec(0.0, 0.5)),  # beta < 1
+            # the binding row b is one that x does not need
+            (two_type_market((10.0, 1.0), (1.0, 0.0), (0.2, 1.0)), ObjectiveSpec(0.0, 20.0)),
+            # each row's candidate overloads the other row: two rows bind
+            (two_type_market((1.0, 1.0), (1.0, 0.1), (0.1, 1.0)), ObjectiveSpec(0.0, 20.0)),
+        ],
+        ids=["nu-positive", "beta-below-one", "row-some-type-does-not-need", "two-binding-rows"],
+    )
+    def test_ladder_runs_where_one_row_proves_nothing(self, instance, spec):
+        if spec.beta > 1.0:  # certified: the row test itself declines
+            assert 0.0 < concavity_weight_bound(instance, spec.beta) >= spec.nu
+            assert optimizer._certified_row(_PriceProblem(instance, "differentiated"), spec) is None
+        result = barrier_optimize(instance, "differentiated", spec)
+        assert result.converged and result.iterations > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        n=st.integers(1, 8),
+        beta=st.sampled_from([2.0, 20.0]),
+    )
+    def test_a_closed_row_is_feasible_and_no_lower_than_the_ladder(self, seed, m, n, beta):
+        instance = random_instance(np.random.default_rng(seed), m=m, n=n)
+        spec = ObjectiveSpec(0.0, beta)
+        problem = _PriceProblem(instance, "differentiated")
+        try:
+            result = barrier_optimize(instance, "differentiated", spec)
+            if result.iterations:  # no row closed the solve
+                return
+            ladder = optimizer._barrier_ladder(problem, spec, 1e-6, _feasible_start(problem, spec))
+            resource = barrier_optimize(instance, "resource", spec).objective_value
+        except InfeasibleError:  # F_beta leaves the float range at every start
+            return
+        assert result.converged and result.outcome.feasible
+        value = result.objective_value
+        assert value >= ladder.value - 1e-6 * abs(ladder.value)
+        assert value >= resource - 1e-6 * abs(resource)
+
+
 class TestCoarseProbe:
     def test_matches_a_loop_over_the_grid(self, rng):
         # reference: each grid point strictly inside capacity, valued by the
@@ -2016,12 +2141,15 @@ class TestExtremeMarkets:
             assert math.isfinite(result.objective_value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_resource_no_type_needs_declines_its_face(self):
-        # the gpu's unpaid price would post at inf, so the ladder decides
+    def test_resource_no_type_needs_closes_at_its_face(self):
+        # no type pays the gpu's price, so its multiplier is zero and the
+        # face posts it at FACE_UNPAID_SHARE of the cpu price
         instance, spec = self.example_market(0)
         result = barrier_optimize(instance, "resource", spec)
         differentiated = barrier_optimize(instance, "differentiated", spec)
-        assert result.converged and result.iterations > 0
+        assert (result.iterations, result.converged) == (0, True)
+        cpu, gpu = result.plan.prices
+        assert gpu == optimizer.FACE_UNPAID_SHARE * cpu
         assert result.objective_value == pytest.approx(-1.81886, rel=1e-5)
         assert result.objective_value == pytest.approx(differentiated.objective_value, rel=1e-6)
 
